@@ -2,10 +2,10 @@
 //! [`Network`](crate::network::Network) surface.
 //!
 //! The default model gives every host pair its own independent traced
-//! link. This module swaps that for an explicit
-//! [`Topology`](wadc_topo::graph::Topology): flows crossing a shared
-//! backbone split its instantaneous bandwidth max-min fairly, recomputed
-//! on every flow start, flow finish and bandwidth-trace step.
+//! link. This module swaps that for an explicit [`Topology`]: flows
+//! crossing a shared backbone split its instantaneous bandwidth max-min
+//! fairly, recomputed on every flow start, flow finish and
+//! bandwidth-trace step.
 //!
 //! The split mirrors dslab-network's model boundary: the network stays
 //! the transfer scheduler (NICs, queueing, priorities) and delegates
@@ -29,8 +29,9 @@ use std::sync::Arc;
 
 use wadc_plan::ids::HostId;
 use wadc_sim::time::SimTime;
-use wadc_topo::fair::max_min_shares;
+use wadc_topo::fair::FairScratch;
 use wadc_topo::graph::{LinkId, Topology};
+use wadc_trace::model::TraceCursor;
 
 use crate::faults::FaultPlan;
 use crate::link::LinkTable;
@@ -112,8 +113,15 @@ pub struct TopoModel {
     resched: Vec<StartedTransfer>,
     /// Instant of the last fair-share recompute.
     last_recompute: SimTime,
-    // Reused scratch for the recompute.
+    // Reused scratch for the recompute: reset on every call, never freed,
+    // so a warm model allocates nothing per recompute.
     capacities: Vec<f64>,
+    /// Per-link lookup hint; recompute instants only move forward, so
+    /// reading every link's capacity is amortised O(1).
+    cursors: Vec<TraceCursor>,
+    /// Indices into `flows` of the managed flows, in `flows` order.
+    managed: Vec<usize>,
+    fair: FairScratch,
     rates: Vec<f64>,
     managed_links: Vec<LinkId>,
 }
@@ -128,6 +136,9 @@ impl TopoModel {
             resched: Vec::new(),
             last_recompute: SimTime::ZERO,
             capacities: vec![0.0; n_links],
+            cursors: vec![TraceCursor::new(); n_links],
+            managed: Vec::new(),
+            fair: FairScratch::default(),
             rates: Vec::new(),
             managed_links: Vec::new(),
         }
@@ -327,30 +338,36 @@ impl TopoModel {
     /// correction for every managed flow whose estimate moved.
     fn recompute(&mut self, now: SimTime) {
         self.last_recompute = now;
-        for (i, c) in self.capacities.iter_mut().enumerate() {
-            *c = self.topo.link(LinkId::new(i)).trace.bandwidth_at(now);
-        }
         let TopoModel {
             topo,
             flows,
+            resched,
             capacities,
+            cursors,
+            managed,
+            fair,
             rates,
             ..
         } = self;
-        let paths: Vec<&[LinkId]> = flows
-            .iter()
-            .filter(|f| f.managed)
-            .map(|f| topo.route(f.src, f.dst))
-            .collect();
-        max_min_shares(capacities, &paths, rates);
-        for (r, f) in self.flows.iter_mut().filter(|f| f.managed).enumerate() {
-            f.rate = self.rates[r];
+        for (i, (c, cursor)) in capacities.iter_mut().zip(cursors.iter_mut()).enumerate() {
+            *c = topo
+                .link(LinkId::new(i))
+                .trace
+                .bandwidth_at_with(cursor, now);
+        }
+        managed.clear();
+        managed.extend((0..flows.len()).filter(|&i| flows[i].managed));
+        let path = |k: usize| topo.route(flows[managed[k]].src, flows[managed[k]].dst);
+        fair.shares(capacities, managed.len(), path, rates);
+        for (&i, &rate) in managed.iter().zip(rates.iter()) {
+            let f = &mut flows[i];
+            f.rate = rate;
             debug_assert!(f.rate > 0.0, "positive capacities give positive shares");
             let est = f.data_start.max(now)
                 + wadc_sim::time::SimDuration::from_secs_f64(f.remaining / f.rate);
             if est != f.completes_at {
                 f.completes_at = est;
-                self.resched.push(StartedTransfer {
+                resched.push(StartedTransfer {
                     id: f.id,
                     completes_at: est,
                 });

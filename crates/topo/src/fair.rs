@@ -7,6 +7,10 @@
 //! share, subtract what they consume from every link they cross, repeat
 //! until all flows are frozen. No flow can be given more without taking
 //! from a flow that already has less.
+//!
+//! [`FairScratch`] holds the algorithm's working buffers so a caller that
+//! recomputes on every flow start, finish and capacity step (the network
+//! layer's fair-share model) reuses them instead of allocating per call.
 
 use crate::graph::LinkId;
 
@@ -17,6 +21,9 @@ use crate::graph::LinkId;
 /// written into `rates` (cleared first), `rates[f]` belonging to
 /// `flows[f]`. Ties in the bottleneck search resolve to the lowest link
 /// index, so the result is deterministic.
+///
+/// A one-shot wrapper over [`FairScratch::shares`] with fresh scratch;
+/// callers that recompute repeatedly keep a [`FairScratch`] instead.
 ///
 /// # Panics
 ///
@@ -39,56 +46,97 @@ use crate::graph::LinkId;
 /// assert_eq!(rates, vec![70.0, 30.0]);
 /// ```
 pub fn max_min_shares(capacities: &[f64], flows: &[&[LinkId]], rates: &mut Vec<f64>) {
-    rates.clear();
-    rates.resize(flows.len(), 0.0);
-    if flows.is_empty() {
-        return;
-    }
-    for path in flows {
-        assert!(!path.is_empty(), "a flow crosses at least one link");
-        for l in *path {
-            assert!(l.index() < capacities.len(), "flow references unknown link");
-        }
-    }
+    FairScratch::default().shares(capacities, flows.len(), |f| flows[f], rates);
+}
 
-    // Remaining capacity and unfrozen-flow count per link.
-    let mut remaining: Vec<f64> = capacities.to_vec();
-    let mut unfrozen_on: Vec<usize> = vec![0; capacities.len()];
-    for path in flows {
-        for l in *path {
-            unfrozen_on[l.index()] += 1;
-        }
-    }
-    let mut frozen: Vec<bool> = vec![false; flows.len()];
-    let mut n_frozen = 0usize;
+/// Working memory of the progressive filling, kept across calls by
+/// callers that recompute shares repeatedly: every buffer is reset at the
+/// start of a call, never freed, so a warm scratch allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct FairScratch {
+    /// Remaining capacity per link.
+    remaining: Vec<f64>,
+    /// Unfrozen flows crossing each link.
+    unfrozen_on: Vec<usize>,
+    /// Whether each flow's rate is settled.
+    frozen: Vec<bool>,
+}
 
-    while n_frozen < flows.len() {
-        // The bottleneck: the link whose equal split of remaining
-        // capacity among its unfrozen flows is smallest.
-        let mut best: Option<(usize, f64)> = None;
-        for (l, (&cap, &cnt)) in remaining.iter().zip(&unfrozen_on).enumerate() {
-            if cnt == 0 {
-                continue;
-            }
-            let share = (cap / cnt as f64).max(0.0);
-            match best {
-                Some((_, s)) if s <= share => {}
-                _ => best = Some((l, share)),
+impl FairScratch {
+    /// Max-min fair rates of `n_flows` flows, flow `f` crossing the links
+    /// `path(f)`: the single body behind [`max_min_shares`], with the
+    /// same arguments, results and panics except that paths are looked up
+    /// on demand rather than passed as a slice of slices.
+    pub fn shares<'a>(
+        &mut self,
+        capacities: &[f64],
+        n_flows: usize,
+        path: impl Fn(usize) -> &'a [LinkId],
+        rates: &mut Vec<f64>,
+    ) {
+        rates.clear();
+        rates.resize(n_flows, 0.0);
+        if n_flows == 0 {
+            return;
+        }
+        for f in 0..n_flows {
+            let p = path(f);
+            assert!(!p.is_empty(), "a flow crosses at least one link");
+            for l in p {
+                assert!(l.index() < capacities.len(), "flow references unknown link");
             }
         }
-        let (bottleneck, share) = best.expect("unfrozen flows cross at least one link");
 
-        // Freeze every unfrozen flow crossing the bottleneck at `share`.
-        for (f, path) in flows.iter().enumerate() {
-            if frozen[f] || !path.contains(&LinkId::new(bottleneck)) {
-                continue;
+        let FairScratch {
+            remaining,
+            unfrozen_on,
+            frozen,
+        } = self;
+        remaining.clear();
+        remaining.extend_from_slice(capacities);
+        unfrozen_on.clear();
+        unfrozen_on.resize(capacities.len(), 0);
+        for f in 0..n_flows {
+            for l in path(f) {
+                unfrozen_on[l.index()] += 1;
             }
-            frozen[f] = true;
-            n_frozen += 1;
-            rates[f] = share;
-            for l in *path {
-                remaining[l.index()] = (remaining[l.index()] - share).max(0.0);
-                unfrozen_on[l.index()] -= 1;
+        }
+        frozen.clear();
+        frozen.resize(n_flows, false);
+        let mut n_frozen = 0usize;
+
+        while n_frozen < n_flows {
+            // The bottleneck: the link whose equal split of remaining
+            // capacity among its unfrozen flows is smallest.
+            let mut best: Option<(usize, f64)> = None;
+            for (l, (&cap, &cnt)) in remaining.iter().zip(unfrozen_on.iter()).enumerate() {
+                if cnt == 0 {
+                    continue;
+                }
+                let share = (cap / cnt as f64).max(0.0);
+                match best {
+                    Some((_, s)) if s <= share => {}
+                    _ => best = Some((l, share)),
+                }
+            }
+            let (bottleneck, share) = best.expect("unfrozen flows cross at least one link");
+
+            // Freeze every unfrozen flow crossing the bottleneck at `share`.
+            for f in 0..n_flows {
+                if frozen[f] {
+                    continue;
+                }
+                let p = path(f);
+                if !p.contains(&LinkId::new(bottleneck)) {
+                    continue;
+                }
+                frozen[f] = true;
+                n_frozen += 1;
+                rates[f] = share;
+                for l in p {
+                    remaining[l.index()] = (remaining[l.index()] - share).max(0.0);
+                    unfrozen_on[l.index()] -= 1;
+                }
             }
         }
     }
@@ -108,6 +156,46 @@ mod tests {
         let mut rates = Vec::new();
         max_min_shares(caps, &paths, &mut rates);
         rates
+    }
+
+    /// `n_flows` random duplicate-free paths over `n_links` links.
+    fn random_flows(rng: &mut Rng64, n_links: usize, n_flows: usize) -> Vec<Vec<LinkId>> {
+        (0..n_flows)
+            .map(|_| {
+                let hops = 1 + (rng.next_u64() % n_links as u64) as usize;
+                let mut path: Vec<usize> = (0..n_links).collect();
+                // Deterministic partial shuffle for a duplicate-free path.
+                for i in 0..hops {
+                    let j = i + (rng.next_u64() as usize) % (n_links - i);
+                    path.swap(i, j);
+                }
+                path[..hops].iter().map(|&i| l(i)).collect()
+            })
+            .collect()
+    }
+
+    /// One scratch driven through flow sets that grow, shrink and change
+    /// link count must give, call after call, exactly the rates a fresh
+    /// scratch gives: no state may leak from one call into the next.
+    #[test]
+    fn reused_scratch_matches_fresh_calls_bit_for_bit() {
+        let mut rng = Rng64::seed_from_u64(0x70_70_02);
+        let mut scratch = FairScratch::default();
+        let mut rates = Vec::new();
+        let mut fresh = Vec::new();
+        for case in 0..300 {
+            let n_links = 1 + rng.range_usize(9);
+            let caps: Vec<f64> = (0..n_links)
+                .map(|_| 1.0 + rng.range_f64(0.0, 5000.0))
+                .collect();
+            let n_flows = rng.range_usize(14);
+            let flows = random_flows(&mut rng, n_links, n_flows);
+            let paths: Vec<&[LinkId]> = flows.iter().map(Vec::as_slice).collect();
+            scratch.shares(&caps, n_flows, |f| paths[f], &mut rates);
+            max_min_shares(&caps, &paths, &mut fresh);
+            let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&rates), bits(&fresh), "case {case}");
+        }
     }
 
     #[test]
@@ -159,18 +247,7 @@ mod tests {
                 .map(|_| 10.0 + (rng.next_u64() % 1000) as f64)
                 .collect();
             let n_flows = 1 + (rng.next_u64() % 8) as usize;
-            let flows: Vec<Vec<LinkId>> = (0..n_flows)
-                .map(|_| {
-                    let hops = 1 + (rng.next_u64() % n_links as u64) as usize;
-                    let mut path: Vec<usize> = (0..n_links).collect();
-                    // Deterministic partial shuffle for a duplicate-free path.
-                    for i in 0..hops {
-                        let j = i + (rng.next_u64() as usize) % (n_links - i);
-                        path.swap(i, j);
-                    }
-                    path[..hops].iter().map(|&i| l(i)).collect()
-                })
-                .collect();
+            let flows = random_flows(&mut rng, n_links, n_flows);
             let rates = shares(&caps, &flows);
 
             for &r in &rates {

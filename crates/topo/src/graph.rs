@@ -162,26 +162,43 @@ impl TopologyBuilder {
     }
 }
 
-/// Pointwise minimum of several step functions: merge every boundary,
-/// take the minimum bandwidth in each merged segment, compress runs.
-fn min_trace<'a>(traces: impl Iterator<Item = &'a BandwidthTrace> + Clone) -> BandwidthTrace {
-    let mut boundaries: Vec<SimTime> = traces
-        .clone()
-        .flat_map(|t| t.samples().iter().map(|s| s.at))
-        .collect();
-    boundaries.sort_unstable();
-    boundaries.dedup();
-    let mut samples: Vec<Sample> = Vec::with_capacity(boundaries.len());
-    for at in boundaries {
-        let bw = traces
-            .clone()
-            .map(|t| t.bandwidth_at(at))
-            .fold(f64::INFINITY, f64::min);
+/// Pointwise minimum of several step functions by a k-way cursor sweep.
+///
+/// One index per input trace. At each merged boundary every cursor whose
+/// next sample starts there advances, the minimum of the values then in
+/// effect is the merged value (equal runs compress), and the earliest
+/// next sample of any cursor is the next boundary. Linear in the total
+/// sample count (times the path length), with no sort and no
+/// per-boundary search.
+fn min_trace<'a>(traces: impl Iterator<Item = &'a BandwidthTrace>) -> BandwidthTrace {
+    // Every trace starts at time zero, so every cursor starts on sample 0.
+    let mut cursors: Vec<(&[Sample], usize)> = traces.map(|t| (t.samples(), 0)).collect();
+    // Traces on a shared grid (the study pool's) merge onto the longest
+    // one's boundaries, so this is the exact size in the common case.
+    let longest = cursors.iter().map(|c| c.0.len()).max().unwrap_or(0);
+    let mut samples: Vec<Sample> = Vec::with_capacity(longest);
+    let mut at = SimTime::ZERO;
+    loop {
+        let mut bw = f64::INFINITY;
+        let mut next: Option<SimTime> = None;
+        for (s, i) in cursors.iter_mut() {
+            if s.get(*i + 1).is_some_and(|n| n.at == at) {
+                *i += 1;
+            }
+            bw = f64::min(bw, s[*i].bytes_per_sec);
+            if let Some(n) = s.get(*i + 1) {
+                next = Some(next.map_or(n.at, |t| t.min(n.at)));
+            }
+        }
         if samples.last().map(|s| s.bytes_per_sec) != Some(bw) {
             samples.push(Sample {
                 at,
                 bytes_per_sec: bw,
             });
+        }
+        match next {
+            Some(t) => at = t,
+            None => break,
         }
     }
     BandwidthTrace::from_samples(samples).expect("merged boundaries form a valid trace")
@@ -218,12 +235,19 @@ impl Topology {
     ///
     /// Panics if `a == b` or a host is out of range.
     pub fn route(&self, a: HostId, b: HostId) -> &[LinkId] {
+        &self.routes[self.checked_pair(a, b)]
+    }
+
+    /// The pair-table index of `a`–`b`, after the checks every per-pair
+    /// lookup makes: a raw `lo * n + hi` of an out-of-range host would
+    /// silently alias another pair.
+    fn checked_pair(&self, a: HostId, b: HostId) -> usize {
         assert_ne!(a, b, "no self-routes");
         assert!(
             a.index() < self.n_hosts && b.index() < self.n_hosts,
             "host out of range"
         );
-        &self.routes[pair_index(self.n_hosts, a, b)]
+        pair_index(self.n_hosts, a, b)
     }
 
     /// The pair's nominal trace: the pointwise minimum bandwidth along
@@ -234,8 +258,7 @@ impl Topology {
     ///
     /// As for [`Topology::route`].
     pub fn nominal_trace(&self, a: HostId, b: HostId) -> &Arc<BandwidthTrace> {
-        assert_ne!(a, b, "no self-routes");
-        self.nominal[pair_index(self.n_hosts, a, b)]
+        self.nominal[self.checked_pair(a, b)]
             .as_ref()
             .expect("built topologies route every pair")
     }
@@ -296,9 +319,98 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wadc_sim::rng::Rng64;
 
     fn h(i: usize) -> HostId {
         HostId::new(i)
+    }
+
+    /// The merge by brute force: collect every boundary, sort, dedup, and
+    /// binary-search each trace at each one. The sweep must agree with it
+    /// bit for bit.
+    fn min_trace_reference(traces: &[&BandwidthTrace]) -> Vec<Sample> {
+        let mut boundaries: Vec<SimTime> = traces
+            .iter()
+            .flat_map(|t| t.samples().iter().map(|s| s.at))
+            .collect();
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        let mut samples: Vec<Sample> = Vec::new();
+        for at in boundaries {
+            let bw = traces
+                .iter()
+                .map(|t| t.bandwidth_at(at))
+                .fold(f64::INFINITY, f64::min);
+            if samples.last().map(|s| s.bytes_per_sec) != Some(bw) {
+                samples.push(Sample {
+                    at,
+                    bytes_per_sec: bw,
+                });
+            }
+        }
+        samples
+    }
+
+    /// A random step trace of random length: boundaries on a whole-second
+    /// grid (shared with other traces) or jittered off it (unaligned), and
+    /// values from a small palette so equal neighbours and equal
+    /// cross-trace minima are common.
+    fn random_trace(rng: &mut Rng64) -> BandwidthTrace {
+        let len = 1 + rng.range_usize(40);
+        let mut grid_ms = 0u64;
+        let samples = (0..len)
+            .map(|i| {
+                // Strides of 1-3 s and jitter under 1 s keep times
+                // strictly increasing.
+                let at = if i == 0 {
+                    0
+                } else {
+                    grid_ms += 1000 * rng.range_u64(1, 3);
+                    let jitter = if rng.bool_with(0.3) {
+                        rng.range_u64(1, 999)
+                    } else {
+                        0
+                    };
+                    grid_ms + jitter
+                };
+                Sample {
+                    at: SimTime::from_millis(at),
+                    bytes_per_sec: [50.0, 100.0, 100.0, 250.0, 1e6][rng.range_usize(5)],
+                }
+            })
+            .collect();
+        BandwidthTrace::from_samples(samples).expect("strictly increasing from zero")
+    }
+
+    #[test]
+    fn min_trace_sweep_matches_brute_force_merge() {
+        let mut rng = Rng64::seed_from_u64(0x6d_69_6e);
+        for case in 0..500 {
+            let k = 1 + rng.range_usize(4);
+            let traces: Vec<BandwidthTrace> = (0..k).map(|_| random_trace(&mut rng)).collect();
+            let refs: Vec<&BandwidthTrace> = traces.iter().collect();
+            let merged = min_trace(refs.iter().copied());
+            let want = min_trace_reference(&refs);
+            assert_eq!(merged.len(), want.len(), "case {case}: sample count");
+            for (got, want) in merged.samples().iter().zip(&want) {
+                assert_eq!(got.at, want.at, "case {case}");
+                assert_eq!(
+                    got.bytes_per_sec.to_bits(),
+                    want.bytes_per_sec.to_bits(),
+                    "case {case} at {:?}",
+                    got.at
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "host out of range")]
+    fn nominal_trace_rejects_out_of_range_hosts() {
+        // On 3 hosts, unchecked (0, 5) indexes slot 0 * 3 + 5, which is
+        // pair (1, 2)'s, and would silently return that pair's trace.
+        let t = two_host_shared();
+        let _ = t.nominal_trace(h(0), h(5));
     }
 
     fn two_host_shared() -> Topology {

@@ -12,7 +12,9 @@
 //!   every host pair to its link path,
 //! - [`fair::max_min_shares`] — a max-min fair-share allocator that
 //!   splits each shared link's instantaneous bandwidth among the
-//!   concurrent flows crossing it (progressive filling),
+//!   concurrent flows crossing it (progressive filling), with
+//!   [`fair::FairScratch`] as the reusable working memory for callers
+//!   that recompute repeatedly,
 //! - [`preset::TopoPreset`] — paper-shaped presets: US / EU / Brazil
 //!   regions behind two oceanic bottlenecks.
 //!
@@ -51,6 +53,6 @@ pub mod fair;
 pub mod graph;
 pub mod preset;
 
-pub use fair::max_min_shares;
+pub use fair::{max_min_shares, FairScratch};
 pub use graph::{LinkId, TopoLink, Topology, TopologyBuilder};
 pub use preset::{build_preset, TopoPreset};
