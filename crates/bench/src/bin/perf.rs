@@ -1,6 +1,7 @@
-//! Perf-regression harness: wall-clock throughput of the three measured
-//! hot paths — the DES kernel's event queue, the placement search, and
-//! monotone bandwidth-trace lookups — plus a reduced paper-main study and
+//! Perf-regression harness: wall-clock throughput of the four measured
+//! hot paths — the DES kernel's event queue, the placement search,
+//! monotone bandwidth-trace lookups and piggybacked bandwidth gossip —
+//! plus a reduced paper-main study and
 //! the quick study as end-to-end proxies, and the `study_full_t{1,4}`
 //! pair: the paper's full 300-configuration study on the work-stealing
 //! sweep driver at one and four threads, whose runs/sec ratio is the
@@ -24,7 +25,8 @@
 //! counts are *deterministic* (fixed seeds, single-threaded measurement),
 //! so `--alloc-gate` turns them into a hard regression gate: if the
 //! steady-state allocations per unit of work in the study benches exceed
-//! the committed thresholds, the run exits nonzero. That keeps the
+//! the committed thresholds, or the gossip benches allocate at all, the
+//! run exits nonzero. That keeps the
 //! panics-not-timings rule — the gate never looks at a clock.
 //!
 //! The workloads are deterministic (fixed seeds, no wall-clock feedback),
@@ -40,8 +42,11 @@ use wadc_core::algorithms::one_shot_placement;
 use wadc_core::engine::{Algorithm, RunScratch};
 use wadc_core::experiment::Experiment;
 use wadc_core::study::{run_study, run_study_parallel, StudyParams};
+use wadc_monitor::cache::{BandwidthCache, MonitorConfig};
+use wadc_monitor::piggyback::{absorb, collect_into, Piggyback};
 use wadc_plan::bandwidth::BwMatrix;
 use wadc_plan::cost::CostModel;
+use wadc_plan::ids::HostId;
 use wadc_plan::placement::HostRoster;
 use wadc_plan::tree::CombinationTree;
 use wadc_sim::event::EventQueue;
@@ -96,6 +101,10 @@ const MAX_ALLOCS_PER_RUN_STUDY_FULL: f64 = 300.0;
 /// workload); budgets are ~2x those.
 const MAX_PEAK_BYTES_STUDY: u64 = 16 << 20;
 const MAX_PEAK_BYTES_STUDY_FULL: u64 = 48 << 20;
+
+/// The gossip benches' budget, in allocations per collect-and-absorb: a
+/// warm payload and caches sized to the roster leave nothing to allocate.
+const MAX_ALLOCS_PER_OP_GOSSIP: f64 = 0.0;
 
 struct Args {
     quick: bool,
@@ -302,6 +311,59 @@ fn trace_transfers(queries: usize, segments: usize, seed: u64) -> u64 {
     queries as u64
 }
 
+/// Steady-state gossip among `n` warm host caches, the engine's
+/// per-message monitoring work: each op refreshes one pair at a random
+/// host (a passive measurement), collects that host's piggyback into a
+/// reused payload and absorbs it at another. Time advances ~0.25 s per
+/// op, so about 160 measurements are fresh at once. At 9 hosts a payload
+/// carries ~35 of the 36 pairs; at 33 hosts about three payloads in four
+/// overflow the 42-entry budget and are cut to the newest values.
+struct Gossip {
+    caches: Vec<BandwidthCache>,
+    payload: Piggyback,
+    rng: Rng64,
+    now: SimTime,
+}
+
+impl Gossip {
+    fn new(n: usize, seed: u64) -> Self {
+        let config = MonitorConfig::paper_defaults();
+        let caches = (0..n)
+            .map(|_| {
+                let mut c = BandwidthCache::new(config);
+                c.reset(config, n);
+                c
+            })
+            .collect();
+        let mut g = Gossip {
+            caches,
+            payload: Piggyback::default(),
+            rng: Rng64::seed_from_u64(seed),
+            now: SimTime::ZERO,
+        };
+        // Warm-up: fill the caches and size the payload's buffer.
+        g.run(4 * n * n);
+        g
+    }
+
+    fn run(&mut self, ops: usize) -> u64 {
+        let n = self.caches.len();
+        let mut updated = 0;
+        for _ in 0..ops {
+            self.now += SimDuration::from_micros(self.rng.range_u64(0, 500_000));
+            let src = self.rng.range_usize(n);
+            let peer = (src + 1 + self.rng.range_usize(n - 1)) % n;
+            let dst = self.rng.range_usize(n);
+            let bw = self.rng.range_f64(4_000.0, 400_000.0);
+            self.caches[src].observe(HostId::new(src), HostId::new(peer), bw, self.now);
+            collect_into(&self.caches[src], self.now, &mut self.payload);
+            updated += absorb(&mut self.caches[dst], &self.payload);
+        }
+        std::hint::black_box(updated);
+        ops as u64
+    }
+}
+
 /// A paper-main-scale single-configuration world, shared by the
 /// `world_setup` and `single_run` microbenches: the same trace pool,
 /// link assignment, and workload as configuration 0 of the full study.
@@ -420,11 +482,12 @@ fn main() {
 
     // Sizes chosen so the full run finishes in well under a minute per rep
     // even on the pre-optimization code paths.
-    let (ev_n, mix_n, ps_cfgs, tq_n, study_cfgs, full_cfgs, ws_n, sr_n) = if args.quick {
-        (20_000, 2_000, 2, 20_000, 1, 8, 50, 20)
+    let (ev_n, mix_n, ps_cfgs, tq_n, gossip_n, study_cfgs, full_cfgs, ws_n, sr_n) = if args.quick {
+        (20_000, 2_000, 2, 20_000, 20_000, 1, 8, 50, 20)
     } else {
-        (200_000, 20_000, 8, 200_000, 4, 300, 500, 100)
+        (200_000, 20_000, 8, 200_000, 200_000, 4, 300, 500, 100)
     };
+    let (mut gossip_9, mut gossip_33) = (Gossip::new(9, args.seed), Gossip::new(33, args.seed));
     let seed = args.seed;
     let reps = args.reps;
     let study_reps = reps.min(2);
@@ -446,6 +509,8 @@ fn main() {
         run_bench("trace_transfers", reps, || {
             trace_transfers(tq_n, 2_000, seed)
         }),
+        run_bench("gossip_9", reps, || gossip_9.run(gossip_n)),
+        run_bench("gossip_33", reps, || gossip_33.run(gossip_n)),
         run_bench("world_setup", study_reps, || world_setup(ws_n, seed)),
         run_bench("single_run", study_reps, || single_run(sr_n, seed)),
         run_bench("study_reduced", study_reps, || {
@@ -493,6 +558,19 @@ fn main() {
     if args.alloc_gate {
         let mut failed = false;
         for b in &benches {
+            if b.name.starts_with("gossip_") {
+                let got = b.allocs_per_unit();
+                if got > MAX_ALLOCS_PER_OP_GOSSIP {
+                    eprintln!(
+                        "alloc gate FAIL: {} at {got} allocs/op exceeds budget {MAX_ALLOCS_PER_OP_GOSSIP}",
+                        b.name
+                    );
+                    failed = true;
+                } else {
+                    println!("alloc gate ok:   {} at {got} allocs/op", b.name);
+                }
+                continue;
+            }
             let (limit, peak_limit) = match b.name {
                 "study_quick" | "study_quick_t2" => {
                     (MAX_ALLOCS_PER_RUN_STUDY_QUICK, MAX_PEAK_BYTES_STUDY)

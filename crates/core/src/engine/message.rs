@@ -229,7 +229,7 @@ impl MsgPool {
             Some(mut msg) => {
                 msg.notify_sender = None;
                 msg.payload = Payload::Probe;
-                msg.piggyback.entries.clear();
+                msg.piggyback.clear();
                 debug_assert!(msg.locations.is_none(), "release strips locations");
                 msg.attempt = 0;
                 msg

@@ -627,7 +627,15 @@ impl Engine {
         workload: Arc<Workload>,
     ) -> Self {
         let roster = HostRoster::one_host_per_server(cfg.n_servers);
-        Engine::build(cfg, links, tree, roster, Some(workload), None, RunScratch::new())
+        Engine::build(
+            cfg,
+            links,
+            tree,
+            roster,
+            Some(workload),
+            None,
+            RunScratch::new(),
+        )
     }
 
     /// [`Engine::new_shared`] drawing all per-run growable state from a
@@ -658,7 +666,15 @@ impl Engine {
             .expect("engine shapes are buildable and n_servers >= 2");
         let roster = HostRoster::one_host_per_server(cfg.n_servers);
         let links = nominal_link_table(&topology);
-        Engine::build(cfg, links, tree, roster, Some(workload), Some(topology), scratch)
+        Engine::build(
+            cfg,
+            links,
+            tree,
+            roster,
+            Some(workload),
+            Some(topology),
+            scratch,
+        )
     }
 
     /// [`Engine::new_shared`] over an explicit shared-bottleneck topology
@@ -796,12 +812,9 @@ impl Engine {
         } = scratch;
         queue.reset();
         deliver_events.clear();
-        caches.truncate(n_hosts);
+        caches.resize_with(n_hosts, || BandwidthCache::new(cfg.monitor));
         for c in &mut caches {
-            c.reset(cfg.monitor);
-        }
-        while caches.len() < n_hosts {
-            caches.push(BandwidthCache::new(cfg.monitor));
+            c.reset(cfg.monitor, n_hosts);
         }
         forecasters.truncate(n_hosts);
         for f in &mut forecasters {
@@ -1429,8 +1442,8 @@ impl Engine {
             if t > cap {
                 break;
             }
-            for i in 0..batch.len() {
-                let Some(ev) = self.queue.claim(batch[i]) else {
+            for &eid in &batch {
+                let Some(ev) = self.queue.claim(eid) else {
                     continue;
                 };
                 self.handle(ev);
@@ -1881,13 +1894,9 @@ impl Engine {
         let dst_host = msg.dst_host;
         piggyback::absorb(&mut self.caches[dst_host.index()], &msg.piggyback);
         if self.forecasting {
-            for e in &msg.piggyback.entries {
-                self.forecasters[dst_host.index()].observe(
-                    e.a,
-                    e.b,
-                    e.measurement.bytes_per_sec,
-                    e.measurement.at,
-                );
+            for e in msg.piggyback.entries() {
+                let ((a, b), m) = (e.pair(), e.measurement());
+                self.forecasters[dst_host.index()].observe(a, b, m.bytes_per_sec, m.at);
             }
         }
         if let Some(v) = &msg.locations {

@@ -60,6 +60,37 @@ fn norm(a: HostId, b: HostId) -> (HostId, HostId) {
     }
 }
 
+/// The slot of the normalised pair `(lo, hi)`, `lo < hi`: pairs are
+/// numbered column by column through the upper triangle, so every pair of
+/// host `hi` follows all pairs of lower hosts. The numbering does not
+/// depend on the host count, and growing a cache only appends slots.
+pub(crate) fn slot_of(lo: usize, hi: usize) -> usize {
+    hi * (hi - 1) / 2 + lo
+}
+
+/// The pair `(lo, hi)` stored at `slot`; the inverse of [`slot_of`].
+pub(crate) fn pair_of(slot: usize) -> (usize, usize) {
+    let hi = (1 + 8 * slot).isqrt().div_ceil(2);
+    (slot - hi * (hi - 1) / 2, hi)
+}
+
+/// Slots covering every pair of `n_hosts` hosts.
+fn slots_for(n_hosts: usize) -> usize {
+    n_hosts * n_hosts.saturating_sub(1) / 2
+}
+
+/// A slot's stamp for a measurement taken at `at`: its time in
+/// microseconds plus one, so that stamp 0 marks an empty slot and a
+/// newer measurement always has the larger stamp.
+pub(crate) fn stamp_of(at: SimTime) -> u64 {
+    at.as_micros() + 1
+}
+
+/// The measurement time a non-zero stamp encodes.
+pub(crate) fn at_of(stamp: u64) -> SimTime {
+    SimTime::from_micros(stamp - 1)
+}
+
 /// A host's cache of pairwise bandwidth measurements with `T_thres` expiry.
 ///
 /// # Examples
@@ -79,26 +110,26 @@ fn norm(a: HostId, b: HostId) -> (HostId, HostId) {
 #[derive(Debug, Clone)]
 pub struct BandwidthCache {
     config: MonitorConfig,
-    /// Hosts covered by the matrix: pairs with both ids `< n` have a slot.
-    n: usize,
-    /// Row-major `n × n` slots; the pair `(lo, hi)` (normalised `lo < hi`)
-    /// lives at `lo * n + hi`, the lower triangle and diagonal stay
-    /// `None`. A dense matrix instead of a hash map because `observe` and
-    /// `measurement` sit on the engine's hottest path (every piggyback
-    /// entry of every message) — host counts are small, so the whole
-    /// matrix is a few cache lines and every access is one index.
-    slots: Vec<Option<Measurement>>,
+    /// Per slot (see [`slot_of`]): the measurement's [`stamp_of`], 0 for
+    /// an empty slot. Dense arrays instead of a map because the piggyback
+    /// path scans and merges them on every message: the compaction in
+    /// `piggyback::collect_into` is one pass over these two arrays, and
+    /// a newest-wins merge is one stamp comparison.
+    stamps: Vec<u64>,
+    /// Per slot: the measured bandwidth, bytes per second (stale where
+    /// the stamp is 0).
+    bws: Vec<f64>,
     /// Occupied slot count.
     len: usize,
 }
 
 impl BandwidthCache {
-    /// Creates an empty cache.
+    /// Creates an empty cache that grows to cover hosts as it sees them.
     pub fn new(config: MonitorConfig) -> Self {
         BandwidthCache {
             config,
-            n: 0,
-            slots: Vec::new(),
+            stamps: Vec::new(),
+            bws: Vec::new(),
             len: 0,
         }
     }
@@ -108,38 +139,63 @@ impl BandwidthCache {
         &self.config
     }
 
-    /// Empties the cache and installs a (possibly different) monitoring
-    /// configuration, keeping the matrix's capacity so run arenas can
-    /// recycle caches without reallocating. Observationally identical to
+    /// Empties the cache, installs a (possibly different) monitoring
+    /// configuration and sizes it for exactly `n_hosts` hosts, keeping
+    /// its capacity so run arenas can recycle caches without
+    /// reallocating. Observationally identical to
     /// `BandwidthCache::new(config)`.
-    pub fn reset(&mut self, config: MonitorConfig) {
+    pub fn reset(&mut self, config: MonitorConfig, n_hosts: usize) {
         self.config = config;
-        self.slots.iter_mut().for_each(|s| *s = None);
+        self.stamps.clear();
+        self.bws.clear();
         self.len = 0;
+        self.cover(slots_for(n_hosts));
     }
 
-    /// Grows the matrix to cover host index `hi` (rare: at most a handful
-    /// of times over a cache's life, then never again on the hot path).
-    fn ensure(&mut self, hi: usize) {
-        if hi < self.n {
-            return;
+    /// Grows the arrays to at least `slots` slots (rare: a handful of
+    /// times over a lazily grown cache's life, never for a cache sized by
+    /// [`BandwidthCache::reset`]).
+    pub(crate) fn cover(&mut self, slots: usize) {
+        if self.stamps.len() < slots {
+            self.stamps.resize(slots, 0);
+            self.bws.resize(slots, 0.0);
         }
-        let n = hi + 1;
-        let mut slots = vec![None; n * n];
-        for lo in 0..self.n {
-            for h in (lo + 1)..self.n {
-                slots[lo * n + h] = self.slots[lo * self.n + h];
-            }
-        }
-        self.slots = slots;
-        self.n = n;
     }
 
-    /// The slot index of the normalised pair, or `None` if the matrix
-    /// does not cover it (equivalently: the pair was never observed).
+    /// The slot arrays: stamps and bandwidths, index-aligned.
+    pub(crate) fn slots(&self) -> (&[u64], &[f64]) {
+        (&self.stamps, &self.bws)
+    }
+
+    /// The smallest stamp that is unexpired at `now`. An entry is fresh
+    /// when `now - at <= T_thres`, i.e. when `at >= now - T_thres`; empty
+    /// slots never qualify because the result is at least 1.
+    pub(crate) fn fresh_cutoff(&self, now: SimTime) -> u64 {
+        now.as_micros()
+            .saturating_sub(self.config.t_thres.as_micros())
+            .saturating_add(1)
+    }
+
+    /// Newest-wins merge of one stamped value into `slot`, which must be
+    /// covered; an equal stamp overwrites. Returns whether the slot's
+    /// contents changed. Written as selects, not branches: it runs once
+    /// per piggyback entry.
+    #[inline]
+    pub(crate) fn merge(&mut self, slot: usize, stamp: u64, bytes_per_sec: f64) -> bool {
+        let (old, old_bw) = (self.stamps[slot], self.bws[slot]);
+        let take = stamp >= old;
+        self.stamps[slot] = if take { stamp } else { old };
+        self.bws[slot] = if take { bytes_per_sec } else { old_bw };
+        self.len += usize::from(old == 0);
+        take & ((stamp != old) | (bytes_per_sec != old_bw))
+    }
+
+    /// The slot of the pair `(a, b)`, or `None` if the cache does not
+    /// cover it (equivalently: the pair was never observed).
     fn slot(&self, a: HostId, b: HostId) -> Option<usize> {
         let (lo, hi) = norm(a, b);
-        (hi.index() < self.n).then(|| lo.index() * self.n + hi.index())
+        let slot = slot_of(lo.index(), hi.index());
+        (slot < self.stamps.len()).then_some(slot)
     }
 
     /// Records a measurement for the pair `(a, b)`. Older measurements for
@@ -148,16 +204,8 @@ impl BandwidthCache {
     pub fn observe(&mut self, a: HostId, b: HostId, bytes_per_sec: f64, at: SimTime) {
         debug_assert_ne!(a, b, "no self-measurements");
         let (lo, hi) = norm(a, b);
-        self.ensure(hi.index());
-        let slot = &mut self.slots[lo.index() * self.n + hi.index()];
-        match slot {
-            Some(m) if at < m.at => {}
-            Some(m) => *m = Measurement { bytes_per_sec, at },
-            None => {
-                *slot = Some(Measurement { bytes_per_sec, at });
-                self.len += 1;
-            }
-        }
+        self.cover(slots_for(hi.index() + 1));
+        self.merge(slot_of(lo.index(), hi.index()), stamp_of(at), bytes_per_sec);
     }
 
     /// Records a passive measurement from a completed transfer of
@@ -198,48 +246,27 @@ impl BandwidthCache {
         now: SimTime,
         grace: SimDuration,
     ) -> Option<f64> {
-        let m = self.slots[self.slot(a, b)?].as_ref()?;
+        let m = self.measurement(a, b)?;
         (now.saturating_since(m.at) <= self.config.t_thres + grace).then_some(m.bytes_per_sec)
     }
 
     /// The raw measurement for a pair regardless of expiry.
     pub fn measurement(&self, a: HostId, b: HostId) -> Option<Measurement> {
-        self.slots[self.slot(a, b)?]
-    }
-
-    /// All unexpired measurements at `now`, newest first.
-    pub fn fresh_entries(&self, now: SimTime) -> Vec<((HostId, HostId), Measurement)> {
-        let mut v: Vec<_> = self.iter_fresh(now).collect();
-        v.sort_by(|x, y| y.1.at.cmp(&x.1.at).then_with(|| x.0.cmp(&y.0)));
-        v
-    }
-
-    /// Unexpired measurements at `now` in pair order (`(lo, hi)`
-    /// ascending), without allocating. Callers that need the newest-first
-    /// order must sort; `(at, pair)` keys are unique, so any comparison
-    /// sort yields the same sequence as
-    /// [`BandwidthCache::fresh_entries`].
-    pub fn iter_fresh(
-        &self,
-        now: SimTime,
-    ) -> impl Iterator<Item = ((HostId, HostId), Measurement)> + '_ {
-        let n = self.n;
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, s)| {
-                s.map(|m| ((HostId::new(i / n), HostId::new(i % n)), m))
-            })
-            .filter(move |(_, m)| now.saturating_since(m.at) <= self.config.t_thres)
+        let slot = self.slot(a, b)?;
+        let stamp = self.stamps[slot];
+        (stamp != 0).then(|| Measurement {
+            bytes_per_sec: self.bws[slot],
+            at: at_of(stamp),
+        })
     }
 
     /// Drops entries expired at `now`; returns how many were dropped.
     pub fn purge_expired(&mut self, now: SimTime) -> usize {
-        let t = self.config.t_thres;
+        let cutoff = self.fresh_cutoff(now);
         let mut dropped = 0;
-        for s in &mut self.slots {
-            if s.is_some_and(|m| now.saturating_since(m.at) > t) {
-                *s = None;
+        for s in &mut self.stamps {
+            if *s != 0 && *s < cutoff {
+                *s = 0;
                 dropped += 1;
             }
         }
@@ -350,16 +377,37 @@ mod tests {
     }
 
     #[test]
-    fn fresh_entries_sorted_newest_first() {
+    fn slot_layout_is_size_independent_and_invertible() {
+        let mut slot = 0;
+        for hi in 1..40 {
+            for lo in 0..hi {
+                assert_eq!(slot_of(lo, hi), slot);
+                assert_eq!(pair_of(slot), (lo, hi));
+                slot += 1;
+            }
+            assert_eq!(slots_for(hi + 1), slot);
+        }
+    }
+
+    #[test]
+    fn reset_sizes_to_the_roster_and_empties() {
         let mut c = BandwidthCache::new(MonitorConfig::paper_defaults());
-        c.observe(h(0), h(1), 1.0, SimTime::from_secs(10));
-        c.observe(h(0), h(2), 2.0, SimTime::from_secs(30));
-        c.observe(h(1), h(2), 3.0, SimTime::from_secs(20));
-        let fresh = c.fresh_entries(SimTime::from_secs(35));
-        let pairs: Vec<_> = fresh.iter().map(|(k, _)| *k).collect();
-        assert_eq!(pairs, vec![(h(0), h(2)), (h(1), h(2)), (h(0), h(1))]);
-        // At t=55 the t=10 entry has expired.
-        assert_eq!(c.fresh_entries(SimTime::from_secs(55)).len(), 2);
+        c.observe(h(7), h(2), 3.0, SimTime::ZERO);
+        c.reset(MonitorConfig::paper_defaults(), 4);
+        assert!(c.is_empty());
+        assert_eq!(c.slots().0.len(), 6);
+        assert_eq!(c.measurement(h(2), h(7)), None);
+        c.observe(h(0), h(3), 1.0, SimTime::ZERO);
+        assert_eq!(c.lookup(h(3), h(0), SimTime::ZERO), Some(1.0));
+    }
+
+    #[test]
+    fn equal_time_observation_overwrites() {
+        let mut c = BandwidthCache::new(MonitorConfig::paper_defaults());
+        c.observe(h(0), h(1), 1.0, SimTime::from_secs(5));
+        c.observe(h(1), h(0), 2.0, SimTime::from_secs(5));
+        assert_eq!(c.lookup(h(0), h(1), SimTime::from_secs(5)), Some(2.0));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

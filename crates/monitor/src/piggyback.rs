@@ -7,33 +7,63 @@
 //! newest-wins rule, so stale gossip can never overwrite fresher local
 //! knowledge, and values propagate transitively across the tree.
 
+use std::cmp::Ordering;
+
 use wadc_plan::ids::HostId;
 use wadc_sim::time::SimTime;
 
-use crate::cache::{BandwidthCache, Measurement};
+use crate::cache::{at_of, pair_of, BandwidthCache, Measurement};
 
 /// Wire size of one piggybacked measurement: two 4-byte host ids, an 8-byte
 /// bandwidth and an 8-byte timestamp.
 pub const ENTRY_WIRE_BYTES: usize = 24;
 
-/// One piggybacked bandwidth value.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One piggybacked bandwidth value, addressed by its pair's cache slot.
+/// Slot numbers do not depend on a cache's size, so sender and receiver
+/// agree on them whatever hosts each has seen.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PiggybackEntry {
-    /// First host of the pair (normalised: `a <= b`).
-    pub a: HostId,
-    /// Second host of the pair.
-    pub b: HostId,
+    slot: usize,
+    /// The measurement time in microseconds plus one (never 0).
+    stamp: u64,
+    bytes_per_sec: f64,
+}
+
+impl PiggybackEntry {
+    /// The host pair, normalised so the first id is the smaller.
+    pub fn pair(&self) -> (HostId, HostId) {
+        let (lo, hi) = pair_of(self.slot);
+        (HostId::new(lo), HostId::new(hi))
+    }
+
     /// The measurement.
-    pub measurement: Measurement,
+    pub fn measurement(&self) -> Measurement {
+        Measurement {
+            bytes_per_sec: self.bytes_per_sec,
+            at: at_of(self.stamp),
+        }
+    }
 }
 
 /// The bandwidth values attached to one message.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Piggyback {
-    /// Entries, at most one per host pair. Order carries no meaning:
-    /// absorption is per-pair newest-wins, so receivers treat the payload
-    /// as a set.
-    pub entries: Vec<PiggybackEntry>,
+    /// The entries are `buf[..len]`, at most one per host pair. Order
+    /// carries no meaning: absorption is per-pair newest-wins, so
+    /// receivers treat the payload as a set. The tail is scratch that
+    /// [`collect_into`]'s branch-free compaction writes unconditionally;
+    /// it is kept so that a warm payload never reallocates.
+    buf: Vec<PiggybackEntry>,
+    len: usize,
+    /// Slot count of the sender's cache when collected; the receiver
+    /// grows to it once instead of checking every entry.
+    span: usize,
+}
+
+impl PartialEq for Piggyback {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
 }
 
 impl Piggyback {
@@ -42,19 +72,29 @@ impl Piggyback {
         Piggyback::default()
     }
 
+    /// The attached values.
+    pub fn entries(&self) -> &[PiggybackEntry] {
+        &self.buf[..self.len]
+    }
+
+    /// Drops every entry, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
     /// Wire size of the payload in bytes.
     pub fn wire_bytes(&self) -> usize {
-        self.entries.len() * ENTRY_WIRE_BYTES
+        self.len * ENTRY_WIRE_BYTES
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Returns `true` if no values are attached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 }
 
@@ -66,47 +106,59 @@ pub fn collect(cache: &BandwidthCache, now: SimTime) -> Piggyback {
     p
 }
 
+/// Newest first; equal times rank by pair, ascending. `(at, pair)` is
+/// unique per cache entry, so this is a total order on a payload.
+fn newest_first(x: &PiggybackEntry, y: &PiggybackEntry) -> Ordering {
+    y.stamp
+        .cmp(&x.stamp)
+        .then_with(|| pair_of(x.slot).cmp(&pair_of(y.slot)))
+}
+
 /// [`collect`] into a caller-owned payload, reusing its entry buffer.
 /// The engine's message pool keeps warm `Piggyback`s, so the per-message
-/// steady state performs no allocation here. When every fresh entry fits
-/// the byte budget, entries are left in the cache's pair-ascending
-/// iteration order — the payload is a set to receivers, so ranking it
-/// would be pure overhead on the hottest per-message path. Only when the
-/// payload must be truncated are entries ranked newest-first; `(at, pair)`
-/// sort keys are unique per cache entry, so the unstable sort is
-/// deterministic and truncation keeps exactly the newest values.
+/// steady state performs no allocation here.
+///
+/// One branch-free pass over the cache's slots writes every slot to the
+/// next free position and advances that position only for slots whose
+/// stamp meets the freshness cutoff. Entries come out in slot order; the
+/// payload is a set to receivers, so ranking it would be pure overhead.
+/// Only when the payload exceeds the byte budget are entries ranked
+/// newest first (equal times by ascending pair) and cut to exactly the
+/// newest values that fit.
 pub fn collect_into(cache: &BandwidthCache, now: SimTime, out: &mut Piggyback) {
-    let budget = cache.config().piggyback_budget_bytes;
-    let max_entries = budget / ENTRY_WIRE_BYTES;
-    out.entries.clear();
-    out.entries.extend(
-        cache
-            .iter_fresh(now)
-            .map(|((a, b), measurement)| PiggybackEntry { a, b, measurement }),
-    );
-    if out.entries.len() > max_entries {
-        out.entries.sort_unstable_by(|x, y| {
-            y.measurement
-                .at
-                .cmp(&x.measurement.at)
-                .then_with(|| (x.a, x.b).cmp(&(y.a, y.b)))
-        });
-        out.entries.truncate(max_entries);
+    let (stamps, bws) = cache.slots();
+    let cutoff = cache.fresh_cutoff(now);
+    if out.buf.len() < stamps.len() {
+        out.buf.resize(stamps.len(), PiggybackEntry::default());
     }
+    let mut len = 0;
+    for (slot, (&stamp, &bytes_per_sec)) in stamps.iter().zip(bws).enumerate() {
+        out.buf[len] = PiggybackEntry {
+            slot,
+            stamp,
+            bytes_per_sec,
+        };
+        len += usize::from(stamp >= cutoff);
+    }
+    let max_entries = cache.config().piggyback_budget_bytes / ENTRY_WIRE_BYTES;
+    if len > max_entries {
+        out.buf[..len].select_nth_unstable_by(max_entries, newest_first);
+        len = max_entries;
+    }
+    out.len = len;
+    out.span = stamps.len();
 }
 
 /// Merges a received payload into `cache` (newest measurement per pair
-/// wins). Returns the number of entries that updated the cache.
+/// wins; equal times overwrite). Returns the number of entries that
+/// changed the cache.
 pub fn absorb(cache: &mut BandwidthCache, payload: &Piggyback) -> usize {
-    let mut updated = 0;
-    for e in &payload.entries {
-        let before = cache.measurement(e.a, e.b);
-        cache.observe(e.a, e.b, e.measurement.bytes_per_sec, e.measurement.at);
-        if cache.measurement(e.a, e.b) != before {
-            updated += 1;
-        }
-    }
-    updated
+    cache.cover(payload.span);
+    payload
+        .entries()
+        .iter()
+        .map(|e| usize::from(cache.merge(e.slot, e.stamp, e.bytes_per_sec)))
+        .sum()
 }
 
 #[cfg(test)]
@@ -145,14 +197,19 @@ mod tests {
         // 42 newest (t >= 118.0) survive the 1 KB budget.
         let mut c = BandwidthCache::new(MonitorConfig::paper_defaults());
         for i in 0..60 {
-            c.observe(h(i), h(i + 1), 1.0, SimTime::from_secs_f64(100.0 + i as f64 * 0.5));
+            c.observe(
+                h(i),
+                h(i + 1),
+                1.0,
+                SimTime::from_secs_f64(100.0 + i as f64 * 0.5),
+            );
         }
         let p = collect(&c, SimTime::from_secs(130));
         assert_eq!(p.len(), 42);
         let oldest_kept = p
-            .entries
+            .entries()
             .iter()
-            .map(|e| e.measurement.at)
+            .map(|e| e.measurement().at)
             .min()
             .unwrap();
         assert_eq!(oldest_kept, SimTime::from_secs_f64(109.0));
@@ -165,7 +222,7 @@ mod tests {
         c.observe(h(1), h(2), 2.0, SimTime::from_secs(100));
         let p = collect(&c, SimTime::from_secs(120));
         assert_eq!(p.len(), 1);
-        assert_eq!(p.entries[0].a, h(1));
+        assert_eq!(p.entries()[0].pair(), (h(1), h(2)));
     }
 
     #[test]

@@ -110,23 +110,23 @@ fn piggyback_budget_and_idempotence() {
         let payload = collect(&sender, now);
         assert!(payload.wire_bytes() <= config.piggyback_budget_bytes);
         assert_eq!(payload.wire_bytes(), payload.len() * ENTRY_WIRE_BYTES);
-        for e in &payload.entries {
-            assert!(now.saturating_since(e.measurement.at) <= config.t_thres);
+        for e in payload.entries() {
+            assert!(now.saturating_since(e.measurement().at) <= config.t_thres);
         }
         let mut receiver = BandwidthCache::new(config);
         absorb(&mut receiver, &payload);
         let snapshot: Vec<_> = payload
-            .entries
+            .entries()
             .iter()
-            .map(|e| receiver.measurement(e.a, e.b))
+            .map(|e| receiver.measurement(e.pair().0, e.pair().1))
             .collect();
         assert_eq!(
             absorb(&mut receiver, &payload),
             0,
             "second absorb is a no-op"
         );
-        for (e, before) in payload.entries.iter().zip(snapshot) {
-            assert_eq!(receiver.measurement(e.a, e.b), before);
+        for (e, before) in payload.entries().iter().zip(snapshot) {
+            assert_eq!(receiver.measurement(e.pair().0, e.pair().1), before);
         }
     }
 }

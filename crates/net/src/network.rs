@@ -449,7 +449,11 @@ impl<P> Network<P> {
     /// undelivered messages go back to the caller's pool rather than to
     /// the allocator).
     pub fn into_scratch(mut self, mut salvage: impl FnMut(P)) -> NetScratch<P> {
-        for p in self.pending_high.drain(..).chain(self.pending_norm.drain(..)) {
+        for p in self
+            .pending_high
+            .drain(..)
+            .chain(self.pending_norm.drain(..))
+        {
             salvage(p.payload);
         }
         for slot in &mut self.in_flight {

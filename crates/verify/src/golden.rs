@@ -120,6 +120,30 @@ pub fn golden_cases() -> Vec<GoldenCase> {
                 })
             },
         },
+        GoldenCase {
+            // Forecast knowledge feeds every absorbed piggyback entry to
+            // the receiver's forecaster, so this pins that feed. A 5 s
+            // period, because at 30 s the plans (and digests) match the
+            // monitored run's.
+            name: "quick4-global-5s-forecast",
+            run: || {
+                Experiment::quick(4, 11)
+                    .with_knowledge(wadc_core::knowledge::KnowledgeMode::Forecast)
+                    .run(Algorithm::Global {
+                        period: SimDuration::from_secs(5),
+                    })
+            },
+        },
+        GoldenCase {
+            // 13 hosts make 78 pairs, more than the 42 entries a 1 KB
+            // piggyback holds, so this pins newest-first truncation.
+            name: "quick12-global-60s",
+            run: || {
+                Experiment::quick(12, 29).run(Algorithm::Global {
+                    period: SimDuration::from_secs(60),
+                })
+            },
+        },
     ]
 }
 
