@@ -20,7 +20,7 @@ use std::path::PathBuf;
 
 use wadc_bench::json::Json;
 use wadc_core::algorithms::one_shot::Objective;
-use wadc_core::engine::Algorithm;
+use wadc_core::engine::{Algorithm, Engine, RunScratch, World};
 use wadc_core::experiment::Experiment;
 use wadc_core::knowledge::KnowledgeMode;
 use wadc_mobile::registry::MobilityMode;
@@ -253,7 +253,13 @@ fn main() {
                             bandwidth_aware_binary(&roster, e.links().oracle_at(SimTime::ZERO))
                                 .expect("8 servers");
                         let da = e.run(Algorithm::DownloadAll);
-                        e.run_with_tree(Algorithm::OneShot, tree).speedup_over(&da)
+                        let mut cfg = e.template().clone();
+                        cfg.algorithm = Algorithm::OneShot;
+                        let mut world = World::canonical(&cfg, e.links().clone());
+                        world.tree = tree;
+                        Engine::build(cfg, world, RunScratch::new())
+                            .run()
+                            .speedup_over(&da)
                     }),
                 ),
             ],

@@ -257,8 +257,10 @@ impl EngineConfig {
     /// empty workloads, zero-period adaptive algorithms, malformed fault
     /// plans and retry policies.
     ///
-    /// [`crate::engine::Engine::new_with_parts`] calls this eagerly, so a
-    /// bad configuration fails at construction with a clear message.
+    /// [`crate::engine::Engine::build`] and
+    /// [`crate::engine::World::canonical`] call this before anything
+    /// else, so a bad configuration fails at construction with a clear
+    /// message.
     ///
     /// # Errors
     ///

@@ -21,6 +21,7 @@
 pub mod audit;
 pub mod config;
 pub mod message;
+pub mod world;
 
 use std::collections::BTreeSet;
 
@@ -56,7 +57,6 @@ use wadc_sim::resource::{Priority, Resource};
 use wadc_sim::rng::{derive_seed, Rng64};
 use wadc_sim::stats::Tally;
 use wadc_sim::time::{SimDuration, SimTime};
-use wadc_topo::graph::Topology;
 
 use crate::algorithms::local_step::{best_local_site, LocalContext};
 use crate::algorithms::one_shot::{improve_placement_scratch, SearchScratch};
@@ -64,7 +64,10 @@ use crate::knowledge::{KnowledgeMode, PlannerView};
 
 pub use audit::{AuditEvent, AuditLog};
 pub use config::{Algorithm, EngineConfig, RetryPolicy, RunOutcome, RunResult};
-pub use message::{DataMsg, Demand, Message, MsgPool, Payload, PlacementUpdate};
+pub use message::{DataMsg, Demand, Message, Payload, PlacementUpdate};
+pub use world::{World, WorldNet};
+
+use message::MsgPool;
 
 /// Events driving the engine.
 #[derive(Debug)]
@@ -301,13 +304,14 @@ struct Proposal {
 
 /// The simulation engine for one run.
 ///
-/// Construct with [`Engine::new`] and execute with [`Engine::run`].
+/// Construct with [`Engine::build`] from a configuration and a [`World`],
+/// and execute with [`Engine::run`].
 ///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
-/// use wadc_core::engine::{Algorithm, Engine, EngineConfig};
+/// use wadc_core::engine::{Algorithm, Engine, EngineConfig, RunScratch, World};
 /// use wadc_net::link::LinkTable;
 /// use wadc_trace::model::BandwidthTrace;
 ///
@@ -315,7 +319,8 @@ struct Proposal {
 /// let links = LinkTable::random_from_pool(5, &pool, 1);
 /// let mut cfg = EngineConfig::new(4, Algorithm::DownloadAll);
 /// cfg.workload.images_per_server = 5; // keep the doctest fast
-/// let result = Engine::new(cfg, links).run();
+/// let world = World::canonical(&cfg, links);
+/// let result = Engine::build(cfg, world, RunScratch::new()).run();
 /// assert!(result.completed);
 /// assert_eq!(result.images_delivered, 5);
 /// ```
@@ -324,8 +329,7 @@ pub struct Engine {
     cfg: EngineConfig,
     tree: CombinationTree,
     roster: HostRoster,
-    /// Shared so a study config's four runs synthesize it once; an
-    /// engine built standalone owns the only reference.
+    /// Shared so a study config's four runs synthesize it once.
     workload: Arc<Workload>,
     n_iterations: u32,
     queue: EventQueue<Ev>,
@@ -387,7 +391,7 @@ pub struct Engine {
     /// the epoch hot loop allocates nothing once warmed up.
     local_scratch: LocalScratch,
     /// Free list of message boxes; the steady-state send path draws from
-    /// it instead of the allocator. See [`MsgPool`].
+    /// it instead of the allocator. See `MsgPool`.
     msg_pool: MsgPool,
     /// Reusable buffer for [`Engine::pump`]'s started-transfer batch.
     started_scratch: Vec<StartedTransfer>,
@@ -513,18 +517,16 @@ impl Default for LocalScratch {
 /// reusable engine buffer, and capacity hints for the buffers that must
 /// move into the [`RunResult`] (the audit log).
 ///
-/// Thread one through consecutive runs like a [`MsgPool`] — build the
-/// engine with a scratch-taking constructor (e.g.
-/// [`Engine::new_shared_scratch`]), run via
-/// [`Engine::run_reclaim_scratch`], and hand the reclaimed scratch to the
-/// next run. Steady-state runs then allocate near-zero: capacity is
-/// *reset*, never freed, between runs.
+/// Thread one through consecutive runs: build each engine with
+/// [`Engine::build`] from it, run via [`Engine::run_reclaim_scratch`], and
+/// hand the reclaimed scratch to the next run. Steady-state runs then
+/// allocate near-zero: capacity is *reset*, never freed, between runs.
 ///
-/// The contract mirrors [`MsgPool`]'s: reuse is **observationally
-/// inert**. Every recycled structure is reset to exactly the state a cold
-/// construction would produce (clocks, sequence counters and contents —
-/// only spare capacity survives), so a warm-arena run is bit-identical to
-/// a cold run of the same `(seed, config)`; `tests/pool_reuse.rs` and
+/// Reuse is **observationally inert**. Every recycled structure is reset
+/// to exactly the state a cold construction would produce (clocks,
+/// sequence counters and contents — only spare capacity survives), so a
+/// warm-arena run is bit-identical to a cold run of the same
+/// `(seed, config)`; `tests/pool_reuse.rs` and
 /// `tests/sweep_determinism.rs` prove it across algorithms, fault plans,
 /// topology backends and thread counts.
 #[derive(Debug, Default)]
@@ -565,184 +567,36 @@ impl RunScratch {
     pub fn is_warm(&self) -> bool {
         !self.msgs.is_empty() || !self.nodes.is_empty() || !self.caches.is_empty()
     }
-
-    /// The arena's message pool (e.g. to pre-warm it or inspect it in
-    /// tests).
-    pub fn msgs_mut(&mut self) -> &mut MsgPool {
-        &mut self.msgs
-    }
 }
 
 impl Engine {
-    /// Builds an engine for `cfg` over the given links. The roster is the
-    /// paper's canonical one: one host per server plus a client host, so
-    /// `links` must cover `cfg.n_servers + 1` hosts.
+    /// Builds an engine for one run of `cfg` in `world`, drawing all
+    /// per-run growable state from `scratch` (pass [`RunScratch::new`]
+    /// for a cold build; results are bit-identical either way). Over a
+    /// [`WorldNet::Topology`] the link table is the topology's nominal
+    /// path-bottleneck traces.
     ///
     /// # Panics
     ///
     /// Panics if [`EngineConfig::validate`] rejects `cfg` (fewer than two
     /// servers, empty workload, zero-period adaptive algorithm, malformed
-    /// fault plan or retry policy) or if the link table's host count does
-    /// not match the roster.
-    pub fn new(cfg: EngineConfig, links: LinkTable) -> Self {
-        let tree = CombinationTree::build(cfg.tree_shape, cfg.n_servers)
-            .expect("engine shapes are buildable and n_servers >= 2");
-        Engine::new_with_tree(cfg, links, tree)
-    }
-
-    /// Like [`Engine::new`], but with an explicitly constructed combination
-    /// tree — e.g. the bandwidth-aware ordering from
-    /// [`wadc_plan::ordering::bandwidth_aware_binary`]. `cfg.tree_shape`
-    /// is ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Engine::new`], or if the
-    /// tree's server count disagrees with `cfg.n_servers`.
-    pub fn new_with_tree(cfg: EngineConfig, links: LinkTable, tree: CombinationTree) -> Self {
-        let roster = HostRoster::one_host_per_server(cfg.n_servers);
-        Engine::new_with_parts(cfg, links, tree, roster)
-    }
-
-    /// Like [`Engine::new`], but reusing a prebuilt workload instead of
-    /// synthesizing one. The workload **must** equal
-    /// `Workload::generate(&cfg.workload, cfg.n_servers, derive_seed(cfg.seed, 1))`
-    /// — the caller (normally [`crate::experiment::Experiment`]) is
-    /// vouching that it was generated from exactly this config, so runs
-    /// stay bit-identical to the self-generating constructors. Within one
-    /// study config the four runs differ only in `cfg.algorithm`, which
-    /// the workload does not depend on, so they can all share one `Arc`.
-    pub fn new_shared(cfg: EngineConfig, links: LinkTable, workload: Arc<Workload>) -> Self {
-        let tree = CombinationTree::build(cfg.tree_shape, cfg.n_servers)
-            .expect("engine shapes are buildable and n_servers >= 2");
-        Engine::new_with_tree_shared(cfg, links, tree, workload)
-    }
-
-    /// [`Engine::new_with_tree`] with a prebuilt workload (see
-    /// [`Engine::new_shared`] for the caller's obligation).
-    pub fn new_with_tree_shared(
-        cfg: EngineConfig,
-        links: LinkTable,
-        tree: CombinationTree,
-        workload: Arc<Workload>,
-    ) -> Self {
-        let roster = HostRoster::one_host_per_server(cfg.n_servers);
-        Engine::build(
-            cfg,
-            links,
-            tree,
-            roster,
-            Some(workload),
-            None,
-            RunScratch::new(),
-        )
-    }
-
-    /// [`Engine::new_shared`] drawing all per-run growable state from a
-    /// [`RunScratch`] arena instead of the allocator. Results are
-    /// bit-identical to a cold build; reclaim the warmed arena with
-    /// [`Engine::run_reclaim_scratch`].
-    pub fn new_shared_scratch(
-        cfg: EngineConfig,
-        links: LinkTable,
-        workload: Arc<Workload>,
-        scratch: RunScratch,
-    ) -> Self {
-        let tree = CombinationTree::build(cfg.tree_shape, cfg.n_servers)
-            .expect("engine shapes are buildable and n_servers >= 2");
-        let roster = HostRoster::one_host_per_server(cfg.n_servers);
-        Engine::build(cfg, links, tree, roster, Some(workload), None, scratch)
-    }
-
-    /// [`Engine::new_shared_topo`] drawing all per-run growable state
-    /// from a [`RunScratch`] arena (see [`Engine::new_shared_scratch`]).
-    pub fn new_shared_topo_scratch(
-        cfg: EngineConfig,
-        topology: Arc<Topology>,
-        workload: Arc<Workload>,
-        scratch: RunScratch,
-    ) -> Self {
-        let tree = CombinationTree::build(cfg.tree_shape, cfg.n_servers)
-            .expect("engine shapes are buildable and n_servers >= 2");
-        let roster = HostRoster::one_host_per_server(cfg.n_servers);
-        let links = nominal_link_table(&topology);
-        Engine::build(
-            cfg,
-            links,
-            tree,
-            roster,
-            Some(workload),
-            Some(topology),
-            scratch,
-        )
-    }
-
-    /// [`Engine::new_shared`] over an explicit shared-bottleneck topology
-    /// (see [`wadc_net::topo`]): the link table becomes the topology's
-    /// nominal path-bottleneck traces — what the planner, probes and
-    /// uncontended transfers see — while concurrent transfers crossing a
-    /// shared link split its bandwidth max-min fairly.
-    pub fn new_shared_topo(
-        cfg: EngineConfig,
-        topology: Arc<Topology>,
-        workload: Arc<Workload>,
-    ) -> Self {
-        let tree = CombinationTree::build(cfg.tree_shape, cfg.n_servers)
-            .expect("engine shapes are buildable and n_servers >= 2");
-        Engine::new_with_tree_shared_topo(cfg, topology, tree, workload)
-    }
-
-    /// [`Engine::new_shared_topo`] with an explicitly constructed
-    /// combination tree; `cfg.tree_shape` is ignored.
-    pub fn new_with_tree_shared_topo(
-        cfg: EngineConfig,
-        topology: Arc<Topology>,
-        tree: CombinationTree,
-        workload: Arc<Workload>,
-    ) -> Self {
-        let roster = HostRoster::one_host_per_server(cfg.n_servers);
-        let links = nominal_link_table(&topology);
-        Engine::build(
-            cfg,
-            links,
-            tree,
-            roster,
-            Some(workload),
-            Some(topology),
-            RunScratch::new(),
-        )
-    }
-
-    /// The fully general constructor: explicit tree *and* roster. The
-    /// roster may place several servers on one host or bind servers to
-    /// replica hosts chosen by [`crate::replication`]; the link table must
-    /// cover exactly the roster's hosts.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Engine::new`], or if the
-    /// tree/roster/links disagree about server and host counts.
-    pub fn new_with_parts(
-        cfg: EngineConfig,
-        links: LinkTable,
-        tree: CombinationTree,
-        roster: HostRoster,
-    ) -> Self {
-        Engine::build(cfg, links, tree, roster, None, None, RunScratch::new())
-    }
-
-    fn build(
-        cfg: EngineConfig,
-        links: LinkTable,
-        tree: CombinationTree,
-        roster: HostRoster,
-        shared_workload: Option<Arc<Workload>>,
-        topology: Option<Arc<Topology>>,
-        scratch: RunScratch,
-    ) -> Self {
+    /// fault plan or retry policy) — checked before anything else — or
+    /// if the world's tree, roster, links and workload disagree with
+    /// `cfg` or each other about server and host counts.
+    pub fn build(cfg: EngineConfig, world: World, scratch: RunScratch) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
+        let World {
+            net,
+            tree,
+            roster,
+            workload,
+        } = world;
+        let (links, topology) = match net {
+            WorldNet::Links(links) => (links, None),
+            WorldNet::Topology(t) => (nominal_link_table(&t), Some(t)),
+        };
         assert_eq!(
             tree.server_count(),
             cfg.n_servers,
@@ -759,14 +613,11 @@ impl Engine {
             "link table must cover one host per server plus the client"
         );
         assert!(links.is_complete(), "every link needs a bandwidth trace");
-
-        let workload = shared_workload.unwrap_or_else(|| {
-            Arc::new(Workload::generate(
-                &cfg.workload,
-                cfg.n_servers,
-                derive_seed(cfg.seed, 1),
-            ))
-        });
+        assert_eq!(
+            workload.server_count(),
+            cfg.n_servers,
+            "workload must cover exactly the configured servers"
+        );
         let n_iterations = cfg.workload.images_per_server as u32;
         let n_hosts = roster.host_count();
         // Seed stream 4 is reserved for fault injection (1 = workload,
@@ -1293,32 +1144,16 @@ impl Engine {
         }
     }
 
-    /// Seeds the engine's message pool with boxes recycled from an
-    /// earlier run (see [`MsgPool`]). Purely an allocation optimisation:
-    /// results are bit-identical with a cold or warm pool.
-    pub fn adopt_pool(&mut self, pool: MsgPool) {
-        self.msg_pool = pool;
-    }
-
     /// Runs the simulation to completion (or the safety cap) and returns
     /// the results.
-    pub fn run(self) -> RunResult {
-        self.run_reclaim().0
-    }
-
-    /// [`Engine::run`], additionally handing the message pool back so the
-    /// next run (via [`Engine::adopt_pool`]) starts warm instead of
-    /// re-allocating its message boxes.
-    pub fn run_reclaim(mut self) -> (RunResult, MsgPool) {
-        let result = self.execute();
-        let pool = std::mem::take(&mut self.msg_pool);
-        (result, pool)
+    pub fn run(mut self) -> RunResult {
+        self.execute()
     }
 
     /// [`Engine::run`], additionally reclaiming the full [`RunScratch`]
     /// arena — message pool, event-queue slab, per-node and per-host
-    /// state, every reusable buffer — so the next run built with a
-    /// scratch-taking constructor starts with warmed capacity everywhere.
+    /// state, every reusable buffer — so the next run [`Engine::build`]
+    /// draws from it starts with warmed capacity everywhere.
     pub fn run_reclaim_scratch(mut self) -> (RunResult, RunScratch) {
         let result = self.execute();
         let scratch = self.reclaim(result.audit.len());

@@ -13,7 +13,7 @@ use wadc_app::workload::{Workload, WorkloadParams};
 use wadc_net::link::LinkTable;
 use wadc_net::topo::nominal_link_table;
 use wadc_plan::tree::TreeShape;
-use wadc_sim::rng::{derive_seed, derive_seed2};
+use wadc_sim::rng::derive_seed2;
 use wadc_sim::time::SimDuration;
 use wadc_topo::graph::Topology;
 use wadc_topo::preset::{build_preset, TopoPreset};
@@ -22,7 +22,8 @@ use wadc_trace::study::BandwidthStudy;
 use wadc_trace::synth::{generate, SynthParams};
 
 use crate::algorithms::one_shot::Objective;
-use crate::engine::{Algorithm, Engine, EngineConfig, MsgPool, RunResult, RunScratch};
+use crate::engine::world::generate_workload;
+use crate::engine::{Algorithm, Engine, EngineConfig, RunResult, RunScratch, World, WorldNet};
 use crate::knowledge::KnowledgeMode;
 
 /// Stream labels for seed derivation (arbitrary, fixed constants).
@@ -248,17 +249,11 @@ impl Experiment {
     }
 
     /// The lazily-built workload every run of this experiment shares. It
-    /// is exactly what each engine would otherwise synthesize for itself,
+    /// is exactly what [`World::canonical`] would synthesize for each run,
     /// so sharing changes nothing observable.
     fn shared_workload(&self) -> Arc<Workload> {
         self.workload
-            .get_or_init(|| {
-                Arc::new(Workload::generate(
-                    &self.template.workload,
-                    self.template.n_servers,
-                    derive_seed(self.template.seed, 1),
-                ))
-            })
+            .get_or_init(|| generate_workload(&self.template))
             .clone()
     }
 
@@ -273,33 +268,20 @@ impl Experiment {
         self
     }
 
-    /// Builds the engine for one run of `algorithm`, routing through the
-    /// topology model when one is set.
-    fn engine_for(&self, algorithm: Algorithm) -> Engine {
-        let mut cfg = self.template.clone();
-        cfg.algorithm = algorithm;
-        match &self.topology {
-            Some(t) => Engine::new_shared_topo(cfg, t.clone(), self.shared_workload()),
-            None => Engine::new_shared(cfg, self.links.clone(), self.shared_workload()),
-        }
+    /// The world every run of this experiment executes in: the canonical
+    /// tree and roster over the experiment's network, sharing the cached
+    /// workload.
+    fn world(&self) -> World {
+        let net = match &self.topology {
+            Some(t) => WorldNet::Topology(t.clone()),
+            None => WorldNet::Links(self.links.clone()),
+        };
+        World::canonical_shared(&self.template, net, self.shared_workload())
     }
 
     /// Runs `algorithm` against this world.
     pub fn run(&self, algorithm: Algorithm) -> RunResult {
-        self.engine_for(algorithm).run()
-    }
-
-    /// [`Experiment::run`] with a caller-owned message pool: the engine
-    /// draws its message boxes from `pool` and hands them back when the
-    /// run ends, so a sequence of runs (e.g. the four runs of one study
-    /// configuration) reaches a zero-allocation steady state on the send
-    /// path. Results are bit-identical to [`Experiment::run`].
-    pub fn run_pooled(&self, algorithm: Algorithm, pool: &mut MsgPool) -> RunResult {
-        let mut engine = self.engine_for(algorithm);
-        engine.adopt_pool(std::mem::take(pool));
-        let (result, reclaimed) = engine.run_reclaim();
-        *pool = reclaimed;
-        result
+        self.engine_scratch(algorithm, RunScratch::new()).run()
     }
 
     /// [`Experiment::run`] with a caller-owned [`RunScratch`] arena: the
@@ -322,44 +304,16 @@ impl Experiment {
     pub fn engine_scratch(&self, algorithm: Algorithm, scratch: RunScratch) -> Engine {
         let mut cfg = self.template.clone();
         cfg.algorithm = algorithm;
-        match &self.topology {
-            Some(t) => {
-                Engine::new_shared_topo_scratch(cfg, t.clone(), self.shared_workload(), scratch)
-            }
-            None => {
-                Engine::new_shared_scratch(cfg, self.links.clone(), self.shared_workload(), scratch)
-            }
-        }
+        Engine::build(cfg, self.world(), scratch)
     }
 
     /// Runs `algorithm` with an observability recorder attached (see
     /// [`wadc_obs`]). Instrumentation is purely passive, so the result —
     /// including its digest — is identical to [`Experiment::run`].
     pub fn run_observed(&self, algorithm: Algorithm, obs: wadc_obs::recorder::Obs) -> RunResult {
-        let mut engine = self.engine_for(algorithm);
+        let mut engine = self.engine_scratch(algorithm, RunScratch::new());
         engine.attach_obs(obs);
         engine.run()
-    }
-
-    /// Runs `algorithm` with an explicitly constructed combination tree
-    /// (e.g. a bandwidth-aware ordering) instead of the template's shape.
-    pub fn run_with_tree(
-        &self,
-        algorithm: Algorithm,
-        tree: wadc_plan::tree::CombinationTree,
-    ) -> RunResult {
-        let mut cfg = self.template.clone();
-        cfg.algorithm = algorithm;
-        match &self.topology {
-            Some(t) => {
-                Engine::new_with_tree_shared_topo(cfg, t.clone(), tree, self.shared_workload())
-                    .run()
-            }
-            None => {
-                Engine::new_with_tree_shared(cfg, self.links.clone(), tree, self.shared_workload())
-                    .run()
-            }
-        }
     }
 }
 
@@ -454,23 +408,24 @@ mod tests {
 
     #[test]
     fn shared_workload_matches_self_generated() {
-        // The experiment hands every engine its cached Arc<Workload>; an
-        // engine built directly regenerates it. Same digest either way.
+        // The experiment hands every engine its cached Arc<Workload>; a
+        // canonical world regenerates it. Same digest either way.
         let exp = Experiment::quick(4, 21);
         let shared = exp.run(Algorithm::OneShot);
         let mut cfg = exp.template().clone();
         cfg.algorithm = Algorithm::OneShot;
-        let fresh = Engine::new(cfg, exp.links().clone()).run();
+        let world = World::canonical(&cfg, exp.links().clone());
+        let fresh = Engine::build(cfg, world, RunScratch::new()).run();
         assert_eq!(shared.digest(), fresh.digest());
     }
 
     #[test]
-    fn pooled_runs_match_cold_runs() {
+    fn arena_runs_match_cold_runs() {
         let exp = Experiment::quick(4, 22);
-        let mut pool = MsgPool::new();
-        let warmup = exp.run_pooled(Algorithm::OneShot, &mut pool);
-        assert!(!pool.is_empty(), "a completed run parks its messages");
-        let warm = exp.run_pooled(Algorithm::OneShot, &mut pool);
+        let mut scratch = RunScratch::new();
+        let warmup = exp.run_scratch(Algorithm::OneShot, &mut scratch);
+        assert!(scratch.is_warm(), "a completed run parks its world");
+        let warm = exp.run_scratch(Algorithm::OneShot, &mut scratch);
         let cold = exp.run(Algorithm::OneShot);
         assert_eq!(warmup.digest(), cold.digest());
         assert_eq!(warm.digest(), cold.digest());
@@ -505,15 +460,15 @@ mod tests {
     }
 
     #[test]
-    fn topo_runs_are_deterministic_and_pool_inert() {
+    fn topo_runs_are_deterministic_and_arena_inert() {
         let exp = Experiment::quick_topo(4, 5);
         let a = exp.run(Algorithm::OneShot);
         let b = exp.run(Algorithm::OneShot);
         assert_eq!(a.digest(), b.digest());
-        let mut pool = MsgPool::new();
-        let pooled = exp.run_pooled(Algorithm::OneShot, &mut pool);
-        let warm = exp.run_pooled(Algorithm::OneShot, &mut pool);
-        assert_eq!(pooled.digest(), a.digest());
+        let mut scratch = RunScratch::new();
+        let first = exp.run_scratch(Algorithm::OneShot, &mut scratch);
+        let warm = exp.run_scratch(Algorithm::OneShot, &mut scratch);
+        assert_eq!(first.digest(), a.digest());
         assert_eq!(warm.digest(), a.digest());
     }
 

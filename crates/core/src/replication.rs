@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn end_to_end_run_with_replica_bindings() {
-        use crate::engine::{Algorithm, Engine, EngineConfig};
+        use crate::engine::{Algorithm, Engine, EngineConfig, RunScratch, World};
         use std::sync::Arc;
         use wadc_app::image::SizeDistribution;
         use wadc_app::workload::WorkloadParams;
@@ -309,7 +309,10 @@ mod tests {
                 aspect: 1.0,
             },
         });
-        let r = Engine::new_with_parts(cfg, links, tree, plan.roster).run();
+        let mut world = World::canonical(&cfg, links);
+        world.tree = tree;
+        world.roster = plan.roster;
+        let r = Engine::build(cfg, world, RunScratch::new()).run();
         assert!(r.completed);
         assert_eq!(r.images_delivered, 4);
         // Thanks to the replica, the slow host never carries an image.

@@ -2,7 +2,8 @@
 //! simulator.
 //!
 //! ```sh
-//! wadc run   [--servers N] [--algorithm A] [--period-mins M] [--shape S] [--seed S] [--images N]
+//! wadc run   [--servers N] [--algorithm A] [--period-mins M] [--extra-candidates K] [--shape S]
+//!            [--seed S] [--config I] [--images N]
 //!            [--threads T] [--audit] [--json] [--topology P] [--knowledge K]
 //!            [--trace-out t.json] [--jsonl-out t.jsonl]
 //! wadc report [--servers N] [--algorithm A] [--seed S] [--images N]
@@ -19,7 +20,7 @@
 use std::collections::HashMap;
 
 use wadc::core::algorithms::one_shot::{one_shot_placement, Objective};
-use wadc::core::engine::{Algorithm, AuditEvent};
+use wadc::core::engine::{Algorithm, AuditEvent, EngineConfig};
 use wadc::core::experiment::Experiment;
 use wadc::core::gauging;
 use wadc::core::knowledge::KnowledgeMode;
@@ -49,7 +50,8 @@ fn usage() -> ! {
 
 run    simulate one configuration under one algorithm
          --servers N (8)  --algorithm download-all|one-shot|global|local (global)
-         --period-mins M (10)  --shape binary|left-deep (binary)
+         --period-mins M (10)  --extra-candidates K (0, local only)
+         --shape binary|left-deep (binary)
          --seed S (1998)  --config I (0)  --images N (180)  --audit
          --threads T (auto): run the download-all baseline and the
            algorithm concurrently (ignored when tracing); 0 or more
@@ -103,7 +105,37 @@ chaos  simulate one configuration under an injected fault plan and report
     std::process::exit(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Flags that take no value.
+const SWITCHES: &str =
+    "--audit --quick --print-golden --print-golden-topo --gauge-analysis --json --shrink";
+
+/// `run`'s flags; `report` and `chaos` accept them too.
+const RUN_FLAGS: &str = "--servers --algorithm --period-mins --extra-candidates --shape --seed \
+     --config --images --audit --threads --json --topology --knowledge --trace-out --jsonl-out";
+
+/// The flags `cmd` accepts, space-separated, or `None` for an unknown
+/// subcommand.
+fn known_flags(cmd: &str) -> Option<String> {
+    Some(match cmd {
+        "run" | "report" => RUN_FLAGS.into(),
+        "chaos" => format!(
+            "{RUN_FLAGS} --loss --probe-blackhole --move-failure --outages --outage-mins \
+             --crash-host --crash-at-secs --soak --shrink"
+        ),
+        "study" => {
+            "--configs --servers --seed --threads --topology --knowledge --gauge-analysis".into()
+        }
+        "trace" => "--pair --seed --window-hours".into(),
+        "plan" => "--servers --seed --config --objective".into(),
+        "verify" => "--quick --seed --print-golden --print-golden-topo --threads".into(),
+        _ => return None,
+    })
+}
+
+/// Parses `args` against the subcommand's `known` flags. An unknown flag
+/// exits 2 listing the known ones, so a typo never silently runs with
+/// defaults.
+fn parse_flags(cmd: &str, known: &str, args: &[String]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -112,14 +144,11 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             eprintln!("unexpected argument {key}");
             usage();
         }
-        if key == "--audit"
-            || key == "--quick"
-            || key == "--print-golden"
-            || key == "--print-golden-topo"
-            || key == "--gauge-analysis"
-            || key == "--json"
-            || key == "--shrink"
-        {
+        if !known.split_whitespace().any(|k| k == key) {
+            eprintln!("unknown flag {key} for `wadc {cmd}`; known flags: {known}");
+            std::process::exit(2);
+        }
+        if SWITCHES.split_whitespace().any(|k| k == key) {
             flags.insert(key, "true".to_string());
             i += 1;
         } else {
@@ -242,9 +271,35 @@ fn build_experiment(flags: &HashMap<String, String>) -> Experiment {
     exp
 }
 
+/// Exits 2 with the engine's message if it would reject `cfg`, before any
+/// run can panic on it.
+fn validate_or_die(cfg: &EngineConfig) {
+    if let Err(e) = cfg.validate() {
+        eprintln!("invalid configuration: {e}");
+        std::process::exit(2);
+    }
+}
+
+/// The experiment and algorithm the `run` flags describe, validated.
+fn experiment_from(flags: &HashMap<String, String>) -> (Experiment, Algorithm) {
+    let exp = build_experiment(flags);
+    let algorithm = algorithm_from(flags);
+    let mut cfg = exp.template().clone();
+    cfg.algorithm = algorithm;
+    validate_or_die(&cfg);
+    (exp, algorithm)
+}
+
+/// Reads `--servers` for the subcommands that build their worlds without
+/// an [`Experiment`] template, exiting 2 on too few servers to combine.
+fn servers_from(flags: &HashMap<String, String>, default: usize) -> usize {
+    let servers = flag(flags, "--servers", default);
+    validate_or_die(&EngineConfig::new(servers, Algorithm::DownloadAll));
+    servers
+}
+
 fn cmd_run(flags: HashMap<String, String>) {
-    let exp = build_experiment(&flags);
-    let algorithm = algorithm_from(&flags);
+    let (exp, algorithm) = experiment_from(&flags);
     let json_out = flags.contains_key("--json");
     let tracing = flags.contains_key("--trace-out") || flags.contains_key("--jsonl-out");
     if !json_out {
@@ -414,8 +469,7 @@ fn cmd_run(flags: HashMap<String, String>) {
 }
 
 fn cmd_report(flags: HashMap<String, String>) {
-    let exp = build_experiment(&flags);
-    let algorithm = algorithm_from(&flags);
+    let (exp, algorithm) = experiment_from(&flags);
     let (obs, tracer) = Tracer::install();
     let r = exp.run_observed(algorithm, obs);
     print!("{}", render_report(&tracer.borrow()));
@@ -435,7 +489,7 @@ fn cmd_study(flags: HashMap<String, String>) {
     }
     let mut params = StudyParams::paper_main(flag(&flags, "--seed", 1998u64));
     params.n_configs = flag(&flags, "--configs", 50usize);
-    params.n_servers = flag(&flags, "--servers", 8usize);
+    params.n_servers = servers_from(&flags, 8);
     params.topology = topology_from(&flags);
     params.knowledge = knowledge_from(&flags);
     let threads = resolve_threads(&flags);
@@ -508,7 +562,7 @@ fn cmd_trace(flags: HashMap<String, String>) {
 }
 
 fn cmd_plan(flags: HashMap<String, String>) {
-    let servers = flag(&flags, "--servers", 8usize);
+    let servers = servers_from(&flags, 8);
     let seed = flag(&flags, "--seed", 1998u64);
     let config = flag(&flags, "--config", 0u64);
     let objective = match flags
@@ -729,7 +783,7 @@ fn cmd_verify(flags: HashMap<String, String>) {
 /// `wadc chaos --soak N`: randomized fault plans at scale on the sweep
 /// driver, with optional fault-plan shrinking on failure.
 fn cmd_chaos_soak(flags: &HashMap<String, String>, n_plans: usize) {
-    let servers = flag(flags, "--servers", 4usize);
+    let servers = servers_from(flags, 4);
     let seed = flag(flags, "--seed", 1998u64);
     // Not resolve_threads: like the verify gate, the soak's report is
     // sworn to be thread-count-invariant, so oversubscription is a
@@ -763,8 +817,7 @@ fn cmd_chaos(flags: HashMap<String, String>) {
         cmd_chaos_soak(&flags, n_plans);
         return;
     }
-    let mut exp = build_experiment(&flags);
-    let algorithm = algorithm_from(&flags);
+    let (mut exp, algorithm) = experiment_from(&flags);
     let loss = flag(&flags, "--loss", 0.05f64);
     let probe_blackhole = flag(&flags, "--probe-blackhole", 0.0f64);
     let move_failure = flag(&flags, "--move-failure", 0.0f64);
@@ -841,7 +894,10 @@ fn main() {
     let Some((cmd, rest)) = argv.split_first() else {
         usage()
     };
-    let flags = parse_flags(rest);
+    let Some(known) = known_flags(cmd) else {
+        usage()
+    };
+    let flags = parse_flags(cmd, &known, rest);
     match cmd.as_str() {
         "run" => cmd_run(flags),
         "report" => cmd_report(flags),
