@@ -16,50 +16,25 @@
 //! - `tthres`     — the monitoring cache timeout `T_thres` (paper: 40 s),
 //! - `state`      — the operator-state size shipped on relocation.
 
-use std::path::PathBuf;
-
-use wadc_bench::json::Json;
+use wadc_bench::archive;
 use wadc_core::algorithms::one_shot::Objective;
+use wadc_core::cli::{self, Error, Flags};
 use wadc_core::engine::{Algorithm, Engine, RunScratch, World};
 use wadc_core::experiment::Experiment;
 use wadc_core::knowledge::KnowledgeMode;
 use wadc_mobile::registry::MobilityMode;
+use wadc_obs::json::Json;
 use wadc_plan::ordering::bandwidth_aware_binary;
 use wadc_plan::placement::HostRoster;
 use wadc_plan::tree::TreeShape;
 use wadc_sim::time::{SimDuration, SimTime};
 use wadc_trace::study::BandwidthStudy;
 
-struct Args {
-    which: String,
-    configs: usize,
-    seed: u64,
-    json: Option<PathBuf>,
-}
+const FLAGS: &str = "--which NAME --configs N --seed S --json PATH";
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        which: "all".to_string(),
-        configs: 60,
-        seed: 1998,
-        json: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--which" => args.which = value("--which"),
-            "--configs" => args.configs = value("--configs").parse().expect("integer"),
-            "--seed" => args.seed = value("--seed").parse().expect("integer"),
-            "--json" => args.json = Some(PathBuf::from(value("--json"))),
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    args
-}
+/// The ablations `--which` can name, besides `all`.
+const ABLATIONS: &str =
+    "objective knowledge probes ordering tthres monitoring duplex mobility state";
 
 /// A named ablation variant: a closure producing the metric for one world.
 type Variant<'a> = (&'a str, Box<dyn Fn(&Experiment) -> f64>);
@@ -107,15 +82,23 @@ fn report(title: &str, rows: &[(String, f64)], results: &mut Vec<Json>) {
     results.push(Json::obj().field("ablation", title).field("rows", rows));
 }
 
-fn main() {
-    let args = parse_args();
-    let study = BandwidthStudy::default_study(args.seed);
-    let configs = args.configs;
-    let seed = args.seed;
-    let mut results = Vec::new();
-    let all = args.which == "all";
+fn main() -> std::process::ExitCode {
+    cli::run("ablations", FLAGS, std::env::args().skip(1), ablations)
+}
 
-    if all || args.which == "objective" {
+fn ablations(flags: &Flags) -> Result<(), Error> {
+    let which = flags.str("--which").unwrap_or("all");
+    if which != "all" && !ABLATIONS.split_whitespace().any(|a| a == which) {
+        let valid = format!("unknown ablation {which}; valid: all {ABLATIONS}");
+        return Err(Error::Usage(valid));
+    }
+    let configs = flags.count("--configs", 60)?;
+    let seed = flags.get("--seed", 1998)?;
+    let study = BandwidthStudy::default_study(seed);
+    let mut results = Vec::new();
+    let all = which == "all";
+
+    if all || which == "objective" {
         let rows = sweep(
             &study,
             configs,
@@ -156,7 +139,7 @@ fn main() {
         );
     }
 
-    if all || args.which == "knowledge" {
+    if all || which == "knowledge" {
         let rows = sweep(
             &study,
             configs,
@@ -193,7 +176,7 @@ fn main() {
         );
     }
 
-    if all || args.which == "probes" {
+    if all || which == "probes" {
         let mk = |probe_bytes: u64, mins: u64| {
             move |e: &Experiment| {
                 let mut e = e.clone();
@@ -226,7 +209,7 @@ fn main() {
         report("on-demand probe traffic", &rows, &mut results);
     }
 
-    if all || args.which == "ordering" {
+    if all || which == "ordering" {
         let rows = sweep(
             &study,
             configs,
@@ -271,7 +254,7 @@ fn main() {
         );
     }
 
-    if all || args.which == "tthres" {
+    if all || which == "tthres" {
         let mk = |secs: u64| {
             move |e: &Experiment| {
                 let mut e = e.clone();
@@ -293,7 +276,7 @@ fn main() {
         report("monitoring cache timeout T_thres", &rows, &mut results);
     }
 
-    if all || args.which == "monitoring" {
+    if all || which == "monitoring" {
         let mk = |interval_secs: Option<u64>| {
             move |e: &Experiment| {
                 let mut e = e.clone();
@@ -321,7 +304,7 @@ fn main() {
         );
     }
 
-    if all || args.which == "duplex" {
+    if all || which == "duplex" {
         let mk = |capacity: usize, alg: Algorithm| {
             move |e: &Experiment| {
                 let mut e = e.clone();
@@ -355,7 +338,7 @@ fn main() {
         );
     }
 
-    if all || args.which == "mobility" {
+    if all || which == "mobility" {
         let mk = |mode: MobilityMode, code: u64| {
             move |e: &Experiment| {
                 let mut e = e.clone();
@@ -395,7 +378,7 @@ fn main() {
         );
     }
 
-    if all || args.which == "state" {
+    if all || which == "state" {
         let mk = |bytes: u64| {
             move |e: &Experiment| {
                 let mut e = e.clone();
@@ -432,9 +415,5 @@ fn main() {
         );
     }
 
-    if let Some(path) = &args.json {
-        std::fs::write(path, Json::Arr(results).to_string_pretty())
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        eprintln!("\nresults archived to {}", path.display());
-    }
+    archive(flags.str("--json"), &Json::Arr(results))
 }

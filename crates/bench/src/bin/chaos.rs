@@ -12,11 +12,13 @@
 //! run, and the mean retransmission count (the recovery work the retry
 //! machinery had to do).
 
-use wadc_bench::json::Json;
-use wadc_bench::FigArgs;
+use wadc_bench::{archive, FigArgs, FIG_FLAGS};
+use wadc_core::cli::{self, Error, Flags};
 use wadc_core::engine::Algorithm;
 use wadc_core::experiment::Experiment;
+use wadc_core::sweep::SweepDriver;
 use wadc_net::faults::FaultPlan;
+use wadc_obs::json::Json;
 use wadc_sim::time::SimDuration;
 use wadc_trace::study::BandwidthStudy;
 
@@ -97,44 +99,47 @@ fn fault_points() -> Vec<(String, FaultPlan)> {
     points
 }
 
-/// Runs every cell for configurations `[lo, hi)` of the study.
-fn run_range(study: &BandwidthStudy, seed: u64, lo: u64, hi: u64) -> Vec<Vec<Cell>> {
-    let points = fault_points();
+/// Runs every cell of configuration `i` of the study.
+fn run_config(
+    study: &BandwidthStudy,
+    seed: u64,
+    points: &[(String, FaultPlan)],
+    i: u64,
+) -> Vec<Vec<Cell>> {
     let mut cells = vec![vec![Cell::default(); ALGORITHMS.len()]; points.len()];
-    for i in lo..hi {
-        let exp = Experiment::from_study(8, study, SimDuration::from_hours(24), i, seed);
-        for (a, &alg) in ALGORITHMS.iter().enumerate() {
-            let clean = exp.run(alg);
-            for (p, (_, plan)) in points.iter().enumerate() {
-                let mut faulty_exp = exp.clone();
-                faulty_exp.template_mut().faults = plan.clone();
-                let r = faulty_exp.run(alg);
-                let cell = &mut cells[p][a];
-                cell.runs += 1;
-                if r.completed {
-                    cell.completed += 1;
-                    if clean.completed {
-                        cell.slowdown_sum +=
-                            r.completion_time.as_secs_f64() / clean.completion_time.as_secs_f64();
-                        cell.slowdown_n += 1;
-                    }
+    let exp = Experiment::from_study(8, study, SimDuration::from_hours(24), i, seed);
+    for (a, &alg) in ALGORITHMS.iter().enumerate() {
+        let clean = exp.run(alg);
+        for (p, (_, plan)) in points.iter().enumerate() {
+            let mut faulty_exp = exp.clone();
+            faulty_exp.template_mut().faults = plan.clone();
+            let r = faulty_exp.run(alg);
+            let cell = &mut cells[p][a];
+            cell.runs += 1;
+            if r.completed {
+                cell.completed += 1;
+                if clean.completed {
+                    cell.slowdown_sum +=
+                        r.completion_time.as_secs_f64() / clean.completion_time.as_secs_f64();
+                    cell.slowdown_n += 1;
                 }
-                cell.retransmits += r.net_stats.retransmits;
-                cell.dropped += r.net_stats.dropped;
             }
+            cell.retransmits += r.net_stats.retransmits;
+            cell.dropped += r.net_stats.dropped;
         }
     }
     cells
 }
 
-fn main() {
-    let mut args = FigArgs::parse();
+fn main() -> std::process::ExitCode {
+    cli::run("chaos", FIG_FLAGS, std::env::args().skip(1), sweep)
+}
+
+fn sweep(flags: &Flags) -> Result<(), Error> {
     // The full sweep is (clean + 9 fault points) x 4 algorithms per
-    // configuration; default to a lighter config count than the figure
-    // binaries unless the caller asked for more.
-    if std::env::args().all(|a| a != "--configs") {
-        args.configs = 24;
-    }
+    // configuration, so the default config count is lighter than the
+    // figure binaries' 300.
+    let args = FigArgs::read(flags, 24)?;
     let study = BandwidthStudy::default_study(args.seed);
     let points = fault_points();
     eprintln!(
@@ -146,28 +151,21 @@ fn main() {
     );
     let t0 = std::time::Instant::now();
 
-    let configs = args.configs as u64;
-    let threads = args.threads.clamp(1, args.configs.max(1));
-    let chunk = configs.div_ceil(threads as u64);
+    // Per-configuration cells fold in configuration order, so the float
+    // sums (and the archive) do not depend on the thread count.
+    let per_config = SweepDriver::new(args.threads).sweep(
+        args.configs,
+        |_| (),
+        |_, i| run_config(&study, args.seed, &points, i as u64),
+    );
     let mut cells = vec![vec![Cell::default(); ALGORITHMS.len()]; points.len()];
-    std::thread::scope(|scope| {
-        let study = &study;
-        let handles: Vec<_> = (0..threads as u64)
-            .map(|t| {
-                let lo = (t * chunk).min(configs);
-                let hi = ((t + 1) * chunk).min(configs);
-                scope.spawn(move || run_range(study, args.seed, lo, hi))
-            })
-            .collect();
-        for handle in handles {
-            let partial = handle.join().expect("worker panicked");
-            for (p, row) in partial.into_iter().enumerate() {
-                for (a, cell) in row.into_iter().enumerate() {
-                    cells[p][a].absorb(cell);
-                }
+    for partial in per_config {
+        for (p, row) in partial.into_iter().enumerate() {
+            for (a, cell) in row.into_iter().enumerate() {
+                cells[p][a].absorb(cell);
             }
         }
-    });
+    }
     eprintln!("done in {:.1} s", t0.elapsed().as_secs_f64());
 
     let mut json_rows = Vec::new();
@@ -195,10 +193,11 @@ fn main() {
         }
     }
 
-    args.maybe_write_json(
+    archive(
+        args.json.as_deref(),
         &Json::obj()
             .field("experiment", "chaos")
             .field("configs", args.configs)
             .field("rows", json_rows),
-    );
+    )
 }

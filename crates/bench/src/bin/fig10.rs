@@ -7,10 +7,11 @@
 //! cargo run --release -p wadc-bench --bin fig10 [--configs N] [--json PATH]
 //! ```
 
-use wadc_bench::json::Json;
-use wadc_bench::{print_series, print_summary, FigArgs};
+use wadc_bench::{archive, print_series, print_summary, FigArgs, FIG_FLAGS};
+use wadc_core::cli::{self, Error, Flags};
 use wadc_core::engine::Algorithm;
 use wadc_core::study::{run_study_parallel, StudyParams, StudyResults};
+use wadc_obs::json::Json;
 use wadc_plan::tree::TreeShape;
 
 const GLOBAL: usize = 0;
@@ -31,8 +32,12 @@ fn run_shape(args: &FigArgs, shape: TreeShape) -> StudyResults {
     results
 }
 
-fn main() {
-    let args = FigArgs::parse();
+fn main() -> std::process::ExitCode {
+    cli::run("fig10", FIG_FLAGS, std::env::args().skip(1), figure)
+}
+
+fn figure(flags: &Flags) -> Result<(), Error> {
+    let args = FigArgs::read(flags, 300)?;
     let binary = run_shape(&args, TreeShape::CompleteBinary);
     let left_deep = run_shape(&args, TreeShape::LeftDeep);
 
@@ -71,7 +76,8 @@ fn main() {
     );
     println!("(paper: the complete binary ordering adapts better for both algorithms)");
 
-    args.maybe_write_json(
+    archive(
+        args.json.as_deref(),
         &Json::obj()
             .field("figure", 10)
             .field("configs", args.configs)
@@ -87,5 +93,5 @@ fn main() {
             .field("global_left_deep", left_deep.sorted_speedups(GLOBAL))
             .field("local_binary", binary.sorted_speedups(LOCAL))
             .field("local_left_deep", left_deep.sorted_speedups(LOCAL)),
-    );
+    )
 }

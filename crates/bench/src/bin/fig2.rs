@@ -6,15 +6,21 @@
 //! cargo run --release -p wadc-bench --bin fig2 [--seed S] [--json PATH]
 //! ```
 
-use wadc_bench::json::Json;
-use wadc_bench::FigArgs;
+use wadc_bench::archive;
+use wadc_core::cli::{self, Error, Flags};
+use wadc_obs::json::Json;
 use wadc_sim::time::{SimDuration, SimTime};
 use wadc_trace::stats::{mean_change_interval, summarize};
 use wadc_trace::study::BandwidthStudy;
 
-fn main() {
-    let args = FigArgs::parse();
-    let study = BandwidthStudy::default_study(args.seed);
+const FLAGS: &str = "--seed S --json PATH";
+
+fn main() -> std::process::ExitCode {
+    cli::run("fig2", FLAGS, std::env::args().skip(1), figure)
+}
+
+fn figure(flags: &Flags) -> Result<(), Error> {
+    let study = BandwidthStudy::default_study(flags.get("--seed", 1998)?);
     let hosts = study.hosts();
 
     // The paper plots Wisconsin - UCLA; our study's closest analogue is
@@ -62,7 +68,8 @@ fn main() {
         change.as_secs_f64()
     );
 
-    args.maybe_write_json(
+    archive(
+        flags.str("--json"),
         &Json::obj()
             .field("figure", 2)
             .field("pair", vec!["wisc", "ucla"])
@@ -77,5 +84,5 @@ fn main() {
                     .field("max", summary.max_bytes_per_sec)
                     .field("cv", summary.coefficient_of_variation),
             ),
-    );
+    )
 }

@@ -8,16 +8,21 @@
 //! cargo run --release -p wadc-bench --bin fig6 [--configs N] [--json PATH]
 //! ```
 
-use wadc_bench::json::Json;
-use wadc_bench::{print_series, print_summary, FigArgs};
+use wadc_bench::{archive, print_series, print_summary, FigArgs, FIG_FLAGS};
+use wadc_core::cli::{self, Error, Flags};
 use wadc_core::study::{run_study_parallel, StudyParams};
+use wadc_obs::json::Json;
 
 const ONE_SHOT: usize = 0;
 const GLOBAL: usize = 1;
 const LOCAL: usize = 2;
 
-fn main() {
-    let args = FigArgs::parse();
+fn main() -> std::process::ExitCode {
+    cli::run("fig6", FIG_FLAGS, std::env::args().skip(1), figure)
+}
+
+fn figure(flags: &Flags) -> Result<(), Error> {
+    let args = FigArgs::read(flags, 300)?;
     let mut params = StudyParams::paper_main(args.seed);
     params.n_configs = args.configs;
     eprintln!(
@@ -74,7 +79,8 @@ fn main() {
         results.mean_interarrival(GLOBAL),
     );
 
-    args.maybe_write_json(
+    archive(
+        args.json.as_deref(),
         &Json::obj()
             .field("figure", 6)
             .field("configs", params.n_configs)
@@ -101,5 +107,5 @@ fn main() {
                     .field("local", results.mean_interarrival(LOCAL))
                     .field("global", results.mean_interarrival(GLOBAL)),
             ),
-    );
+    )
 }

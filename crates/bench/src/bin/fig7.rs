@@ -8,13 +8,18 @@
 //! cargo run --release -p wadc-bench --bin fig7 [--configs N] [--json PATH]
 //! ```
 
-use wadc_bench::json::Json;
-use wadc_bench::FigArgs;
+use wadc_bench::{archive, FigArgs, FIG_FLAGS};
+use wadc_core::cli::{self, Error, Flags};
 use wadc_core::engine::Algorithm;
 use wadc_core::study::{run_study_parallel, StudyParams};
+use wadc_obs::json::Json;
 
-fn main() {
-    let args = FigArgs::parse();
+fn main() -> std::process::ExitCode {
+    cli::run("fig7", FIG_FLAGS, std::env::args().skip(1), figure)
+}
+
+fn figure(flags: &Flags) -> Result<(), Error> {
+    let args = FigArgs::read(flags, 300)?;
     let mut params = StudyParams::paper_main(args.seed);
     params.n_configs = args.configs;
     params.algorithms = (0..=6)
@@ -46,11 +51,12 @@ fn main() {
         100.0 * spread / series[0]
     );
 
-    args.maybe_write_json(
+    archive(
+        args.json.as_deref(),
         &Json::obj()
             .field("figure", 7)
             .field("configs", params.n_configs)
             .field("k", (0..=6).collect::<Vec<i32>>())
             .field("avg_speedup", series),
-    );
+    )
 }

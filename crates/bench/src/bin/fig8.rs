@@ -7,12 +7,17 @@
 //! cargo run --release -p wadc-bench --bin fig8 [--configs N] [--json PATH]
 //! ```
 
-use wadc_bench::json::Json;
-use wadc_bench::FigArgs;
+use wadc_bench::{archive, FigArgs, FIG_FLAGS};
+use wadc_core::cli::{self, Error, Flags};
 use wadc_core::study::{run_study_parallel, StudyParams};
+use wadc_obs::json::Json;
 
-fn main() {
-    let args = FigArgs::parse();
+fn main() -> std::process::ExitCode {
+    cli::run("fig8", FIG_FLAGS, std::env::args().skip(1), figure)
+}
+
+fn figure(flags: &Flags) -> Result<(), Error> {
+    let args = FigArgs::read(flags, 300)?;
     let server_counts = [4usize, 8, 16, 32];
     let mut per_alg: Vec<Vec<f64>> = vec![Vec::new(); 3];
 
@@ -47,7 +52,8 @@ fn main() {
         per_alg[1][last] / per_alg[2][last]
     );
 
-    args.maybe_write_json(
+    archive(
+        args.json.as_deref(),
         &Json::obj()
             .field("figure", 8)
             .field("configs", args.configs)
@@ -59,5 +65,5 @@ fn main() {
                     .field("global", per_alg[1].as_slice())
                     .field("local", per_alg[2].as_slice()),
             ),
-    );
+    )
 }

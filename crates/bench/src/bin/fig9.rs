@@ -7,14 +7,19 @@
 //! cargo run --release -p wadc-bench --bin fig9 [--configs N] [--json PATH]
 //! ```
 
-use wadc_bench::json::Json;
-use wadc_bench::FigArgs;
+use wadc_bench::{archive, FigArgs, FIG_FLAGS};
+use wadc_core::cli::{self, Error, Flags};
 use wadc_core::engine::Algorithm;
 use wadc_core::study::{run_study_parallel, StudyParams};
+use wadc_obs::json::Json;
 use wadc_sim::time::SimDuration;
 
-fn main() {
-    let args = FigArgs::parse();
+fn main() -> std::process::ExitCode {
+    cli::run("fig9", FIG_FLAGS, std::env::args().skip(1), figure)
+}
+
+fn figure(flags: &Flags) -> Result<(), Error> {
+    let args = FigArgs::read(flags, 300)?;
     let periods_min = [2u64, 5, 10, 30, 60];
     let mut params = StudyParams::paper_main(args.seed);
     params.n_configs = args.configs;
@@ -48,12 +53,13 @@ fn main() {
         .0];
     println!("\nbest period: {best} min (paper: 5-10 minutes)");
 
-    args.maybe_write_json(
+    archive(
+        args.json.as_deref(),
         &Json::obj()
             .field("figure", 9)
             .field("configs", params.n_configs)
             .field("period_minutes", periods_min.as_slice())
             .field("avg_speedup", series)
             .field("best_period_minutes", best),
-    );
+    )
 }

@@ -33,17 +33,19 @@
 //! so two builds of the same scale do the same work and their numbers are
 //! directly comparable.
 
-use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use wadc_bench::alloc::{AllocScope, AllocStats, CountingAlloc};
-use wadc_bench::json::Json;
+use wadc_bench::archive;
 use wadc_core::algorithms::one_shot_placement;
+use wadc_core::cli::{self, Error, Flags};
 use wadc_core::engine::{Algorithm, RunScratch};
 use wadc_core::experiment::Experiment;
 use wadc_core::study::{run_study, run_study_parallel, StudyParams};
 use wadc_monitor::cache::{BandwidthCache, MonitorConfig};
 use wadc_monitor::piggyback::{absorb, collect_into, Piggyback};
+use wadc_obs::json::Json;
 use wadc_plan::bandwidth::BwMatrix;
 use wadc_plan::cost::CostModel;
 use wadc_plan::ids::HostId;
@@ -106,41 +108,7 @@ const MAX_PEAK_BYTES_STUDY_FULL: u64 = 48 << 20;
 /// warm payload and caches sized to the roster leave nothing to allocate.
 const MAX_ALLOCS_PER_OP_GOSSIP: f64 = 0.0;
 
-struct Args {
-    quick: bool,
-    reps: usize,
-    seed: u64,
-    json: PathBuf,
-    alloc_gate: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        quick: false,
-        reps: 5,
-        seed: 1998,
-        json: PathBuf::from("BENCH_perf.json"),
-        alloc_gate: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--quick" => args.quick = true,
-            "--alloc-gate" => args.alloc_gate = true,
-            "--reps" => args.reps = value("--reps").parse().expect("integer"),
-            "--seed" => args.seed = value("--seed").parse().expect("integer"),
-            "--json" => args.json = PathBuf::from(value("--json")),
-            other => {
-                panic!("unknown flag {other}; known: --quick --reps --seed --json --alloc-gate")
-            }
-        }
-    }
-    args
-}
+const FLAGS: &str = "--quick --reps N --seed S --json PATH --alloc-gate";
 
 /// One bench's timings: `reps` wall-clock measurements of an iteration
 /// that performs `units` units of work, plus the allocation traffic of
@@ -179,7 +147,7 @@ fn run_bench(name: &'static str, reps: usize, mut iter: impl FnMut() -> u64) -> 
     let mut secs = Vec::with_capacity(reps);
     let mut units = 0;
     let mut alloc = AllocStats::default();
-    for _ in 0..reps.max(1) {
+    for _ in 0..reps {
         let scope = AllocScope::begin();
         let t0 = Instant::now();
         units = iter();
@@ -475,25 +443,29 @@ fn study_full(configs: usize, seed: u64, threads: usize) -> u64 {
     configs as u64 * runs_per_config
 }
 
-fn main() {
-    let args = parse_args();
-    let scale = if args.quick { "quick" } else { "full" };
-    println!("perf harness ({scale} scale, seed {})", args.seed);
+fn main() -> ExitCode {
+    cli::run("perf", FLAGS, std::env::args().skip(1), perf)
+}
+
+fn perf(flags: &Flags) -> Result<(), Error> {
+    let quick = flags.has("--quick");
+    let reps = flags.count("--reps", 5)?;
+    let seed = flags.get("--seed", 1998)?;
+    let scale = if quick { "quick" } else { "full" };
+    println!("perf harness ({scale} scale, seed {seed})");
 
     // Sizes chosen so the full run finishes in well under a minute per rep
     // even on the pre-optimization code paths.
-    let (ev_n, mix_n, ps_cfgs, tq_n, gossip_n, study_cfgs, full_cfgs, ws_n, sr_n) = if args.quick {
+    let (ev_n, mix_n, ps_cfgs, tq_n, gossip_n, study_cfgs, full_cfgs, ws_n, sr_n) = if quick {
         (20_000, 2_000, 2, 20_000, 20_000, 1, 8, 50, 20)
     } else {
         (200_000, 20_000, 8, 200_000, 200_000, 4, 300, 500, 100)
     };
-    let (mut gossip_9, mut gossip_33) = (Gossip::new(9, args.seed), Gossip::new(33, args.seed));
-    let seed = args.seed;
-    let reps = args.reps;
+    let (mut gossip_9, mut gossip_33) = (Gossip::new(9, seed), Gossip::new(33, seed));
     let study_reps = reps.min(2);
     // The full study costs ~45 ms per configuration: one rep of the
     // paper's 300 configurations is the headline, not a median of many.
-    let full_reps = if args.quick { study_reps } else { 1 };
+    let full_reps = if quick { study_reps } else { 1 };
 
     let benches = [
         run_bench("event_queue_schedule_pop", reps, || {
@@ -549,13 +521,14 @@ fn main() {
     let json = Json::obj()
         .field("schema", "wadc-bench-perf-v2")
         .field("mode", scale)
-        .field("seed", args.seed)
+        .field("seed", seed)
         .field("benches", rows);
-    std::fs::write(&args.json, json.to_string_pretty())
-        .unwrap_or_else(|e| panic!("writing {}: {e}", args.json.display()));
-    println!("results archived to {}", args.json.display());
+    archive(
+        Some(flags.str("--json").unwrap_or("BENCH_perf.json")),
+        &json,
+    )?;
 
-    if args.alloc_gate {
+    if flags.has("--alloc-gate") {
         let mut failed = false;
         for b in &benches {
             if b.name.starts_with("gossip_") {
@@ -612,8 +585,10 @@ fn main() {
             }
         }
         if failed {
-            eprintln!("steady-state allocation regression — see DESIGN.md §6b");
-            std::process::exit(1);
+            return Err(Error::Failed(
+                "steady-state allocation regression — see DESIGN.md §6b".into(),
+            ));
         }
     }
+    Ok(())
 }

@@ -11,12 +11,17 @@
 //! | `fig9` | Figure 9 | relocation period 2 min → 1 hour |
 //! | `fig10` | Figure 10 | complete-binary vs left-deep ordering |
 //!
-//! Run with `cargo run --release -p wadc-bench --bin figN`. Every binary
-//! accepts `--configs N` (default: the paper's 300), `--seed S`,
-//! `--threads T` and `--json PATH` (machine-readable series archive).
+//! Run with `cargo run --release -p wadc-bench --bin figN`. `fig6`–`fig10`
+//! and `chaos` accept [`FIG_FLAGS`]: `--configs N` (default: the paper's
+//! 300; 24 for `chaos`), `--threads T`, `--seed S` and `--json PATH`
+//! (machine-readable series archive). `fig2` takes only `--seed` and
+//! `--json`; `ablations` and `perf` document their own flags. Every
+//! binary parses with [`wadc_core::cli`]: bad input exits 2 with the
+//! known flags.
 //!
-//! The `benches/` directory holds criterion micro/meso benchmarks of the
-//! kernel, the placement search and the end-to-end engine.
+//! The `benches/` directory holds micro/meso benchmarks of the kernel,
+//! the placement search and the end-to-end engine, timed by the in-repo
+//! [`harness`].
 
 // `deny` rather than `forbid`: the counting allocator in `alloc` must
 // implement `GlobalAlloc`, which is an `unsafe` trait; that module
@@ -26,68 +31,48 @@
 
 pub mod alloc;
 pub mod harness;
-pub mod json;
 
-use std::path::PathBuf;
+use wadc_core::cli::{self, Error, Flags};
+use wadc_obs::json::Json;
 
-/// Command-line arguments shared by all figure binaries.
+/// The flags of the sweep binaries (`fig6`–`fig10`, `chaos`).
+pub const FIG_FLAGS: &str = "--configs N --threads T --seed S --json PATH";
+
+/// The settings [`FIG_FLAGS`] describe.
 #[derive(Debug, Clone)]
 pub struct FigArgs {
     /// Number of network configurations to evaluate.
     pub configs: usize,
-    /// Worker threads.
+    /// Worker threads, clamped to the machine.
     pub threads: usize,
     /// Master seed.
     pub seed: u64,
     /// Optional path for a JSON archive of the series.
-    pub json: Option<PathBuf>,
+    pub json: Option<String>,
 }
 
 impl FigArgs {
-    /// Parses `std::env::args`, with the paper's 300 configurations as the
-    /// default. `--threads` is clamped to the machine's available
-    /// parallelism (with a warning) — `0` means "all cores".
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse() -> Self {
-        let mut args = FigArgs {
-            configs: 300,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            seed: 1998,
-            json: None,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .unwrap_or_else(|| panic!("{name} requires a value"))
-            };
-            match flag.as_str() {
-                "--configs" => args.configs = value("--configs").parse().expect("integer"),
-                "--threads" => args.threads = value("--threads").parse().expect("integer"),
-                "--seed" => args.seed = value("--seed").parse().expect("integer"),
-                "--json" => args.json = Some(PathBuf::from(value("--json"))),
-                other => panic!("unknown flag {other}; known: --configs --threads --seed --json"),
-            }
-        }
-        let plan = wadc_core::sweep::clamp_threads(args.threads);
-        if let Some(warning) = &plan.warning {
-            eprintln!("warning: {warning}");
-        }
-        args.threads = plan.threads;
-        args
+    /// Reads parsed [`FIG_FLAGS`], with `default_configs` configurations
+    /// when `--configs` is absent; [`Error::Usage`] for a malformed value
+    /// or zero configurations.
+    pub fn read(flags: &Flags, default_configs: usize) -> Result<Self, Error> {
+        Ok(FigArgs {
+            configs: flags.count("--configs", default_configs)?,
+            threads: flags.threads()?,
+            seed: flags.get("--seed", 1998)?,
+            json: flags.str("--json").map(str::to_string),
+        })
     }
+}
 
-    /// Writes the JSON archive if `--json` was given.
-    pub fn maybe_write_json(&self, value: &json::Json) {
-        if let Some(path) = &self.json {
-            std::fs::write(path, value.to_string_pretty())
-                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-            eprintln!("series archived to {}", path.display());
-        }
+/// Writes `value` as pretty JSON to `path`, if one was given, or
+/// returns [`Error::Failed`] when the file cannot be written.
+pub fn archive(path: Option<&str>, value: &Json) -> Result<(), Error> {
+    if let Some(path) = path {
+        cli::write_output(path, value.to_string_pretty().as_bytes())?;
+        eprintln!("series archived to {path}");
     }
+    Ok(())
 }
 
 /// Prints a named series as one row per element, `index value`.

@@ -20,6 +20,7 @@
 //!   a trace study, paired baseline runs, speedups,
 //! - [`study`] — the paper's 300-configuration evaluation methodology and
 //!   the per-figure series generators,
+//! - [`cli`] — the strict command-line parser every binary shares,
 //! - [`sweep`] — the work-stealing sweep fabric the study (and any other
 //!   indexed job list) runs on: deterministic, index-ordered merges
 //!   regardless of thread count.
@@ -44,6 +45,7 @@
 
 pub mod algorithms;
 pub mod analysis;
+pub mod cli;
 pub mod engine;
 pub mod experiment;
 pub mod gauging;

@@ -3,9 +3,7 @@
 //! This module is the workspace's whole serialization layer: a value
 //! enum, `From` conversions, a pretty printer, and a small recursive
 //! descent parser (used by the trace schema tests). It exists so the
-//! workspace carries no external serialization dependency. It began life
-//! in `wadc-bench` for the figure archives and moved here when the trace
-//! exporters needed it; `wadc_bench::json` re-exports it unchanged.
+//! workspace carries no external serialization dependency.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -17,15 +17,15 @@
 //! wadc chaos --soak N [--shrink] [--threads T] [--servers N] [--seed S]
 //! ```
 
-use std::collections::HashMap;
+use std::process::ExitCode;
 
 use wadc::core::algorithms::one_shot::{one_shot_placement, Objective};
+use wadc::core::cli::{self, Error, Flags};
 use wadc::core::engine::{Algorithm, AuditEvent, EngineConfig};
 use wadc::core::experiment::Experiment;
 use wadc::core::gauging;
 use wadc::core::knowledge::KnowledgeMode;
 use wadc::core::study::{run_study, run_study_parallel, StudyParams};
-use wadc::core::sweep::clamp_threads;
 use wadc::net::faults::FaultPlan;
 use wadc::obs::{chrome_trace, render_report, write_jsonl, Json, Tracer};
 use wadc::plan::cost::CostModel;
@@ -44,7 +44,7 @@ use wadc::verify::golden;
 use wadc::verify::invariants::check_run;
 use wadc::verify::soak::run_soak;
 
-fn usage() -> ! {
+fn usage() -> ExitCode {
     eprintln!(
         "usage: wadc <run|report|study|trace|plan|verify|chaos> [flags]
 
@@ -102,208 +102,113 @@ chaos  simulate one configuration under an injected fault plan and report
          --servers N (4)  --seed S (1998)  --threads T (2, not clamped:
            the report is thread-count-invariant by construction)"
     );
-    std::process::exit(2)
+    ExitCode::from(2)
 }
-
-/// Flags that take no value.
-const SWITCHES: &str =
-    "--audit --quick --print-golden --print-golden-topo --gauge-analysis --json --shrink";
 
 /// `run`'s flags; `report` and `chaos` accept them too.
-const RUN_FLAGS: &str = "--servers --algorithm --period-mins --extra-candidates --shape --seed \
-     --config --images --audit --threads --json --topology --knowledge --trace-out --jsonl-out";
+const RUN_FLAGS: &str = "--servers N --algorithm A --period-mins M --extra-candidates K --shape S \
+     --seed S --config I --images N --audit --threads T --json --topology P --knowledge K \
+     --trace-out PATH --jsonl-out PATH";
 
-/// The flags `cmd` accepts, space-separated, or `None` for an unknown
-/// subcommand.
-fn known_flags(cmd: &str) -> Option<String> {
-    Some(match cmd {
-        "run" | "report" => RUN_FLAGS.into(),
-        "chaos" => format!(
-            "{RUN_FLAGS} --loss --probe-blackhole --move-failure --outages --outage-mins \
-             --crash-host --crash-at-secs --soak --shrink"
-        ),
-        "study" => {
-            "--configs --servers --seed --threads --topology --knowledge --gauge-analysis".into()
-        }
-        "trace" => "--pair --seed --window-hours".into(),
-        "plan" => "--servers --seed --config --objective".into(),
-        "verify" => "--quick --seed --print-golden --print-golden-topo --threads".into(),
-        _ => return None,
-    })
-}
+/// The flags `chaos` accepts besides `run`'s.
+const CHAOS_FLAGS: &str = "--loss P --probe-blackhole P --move-failure P --outages N \
+     --outage-mins M --crash-host H --crash-at-secs S --soak N --shrink";
+const STUDY_FLAGS: &str =
+    "--configs N --servers N --seed S --threads T --topology P --knowledge K --gauge-analysis";
+const VERIFY_FLAGS: &str = "--quick --seed S --print-golden --print-golden-topo --threads T";
 
-/// Parses `args` against the subcommand's `known` flags. An unknown flag
-/// exits 2 listing the known ones, so a typo never silently runs with
-/// defaults.
-fn parse_flags(cmd: &str, known: &str, args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i].clone();
-        if !key.starts_with("--") {
-            eprintln!("unexpected argument {key}");
-            usage();
-        }
-        if !known.split_whitespace().any(|k| k == key) {
-            eprintln!("unknown flag {key} for `wadc {cmd}`; known flags: {known}");
-            std::process::exit(2);
-        }
-        if SWITCHES.split_whitespace().any(|k| k == key) {
-            flags.insert(key, "true".to_string());
-            i += 1;
-        } else {
-            if i + 1 >= args.len() {
-                eprintln!("{key} requires a value");
-                usage();
-            }
-            flags.insert(key, args[i + 1].clone());
-            i += 2;
-        }
-    }
-    flags
-}
-
-fn flag<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    match flags.get(key) {
-        None => default,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for {key}: {v}");
-            usage()
-        }),
-    }
-}
-
-/// Reads `--threads` (defaulting to every available core) and clamps it
-/// to the machine, surfacing the sweep fabric's warning when the request
-/// was adjusted (`--threads 0`, or more threads than cores).
-fn resolve_threads(flags: &HashMap<String, String>) -> usize {
-    let default = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let plan = clamp_threads(flag(flags, "--threads", default));
-    if let Some(warning) = &plan.warning {
-        eprintln!("warning: {warning}");
-    }
-    plan.threads
-}
-
-fn write_or_die(path: &str, bytes: &[u8]) {
-    if let Err(e) = std::fs::write(path, bytes) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn algorithm_from(flags: &HashMap<String, String>) -> Algorithm {
-    let period = SimDuration::from_mins(flag(flags, "--period-mins", 10u64));
-    match flags
-        .get("--algorithm")
-        .map(String::as_str)
-        .unwrap_or("global")
-    {
+fn algorithm_from(flags: &Flags) -> Result<Algorithm, Error> {
+    let period = SimDuration::from_mins(flags.get("--period-mins", 10u64)?);
+    Ok(match flags.str("--algorithm").unwrap_or("global") {
         "download-all" => Algorithm::DownloadAll,
         "one-shot" => Algorithm::OneShot,
         "global" => Algorithm::Global { period },
         "local" => Algorithm::Local {
             period,
-            extra_candidates: flag(flags, "--extra-candidates", 0usize),
+            extra_candidates: flags.get("--extra-candidates", 0usize)?,
         },
-        other => {
-            eprintln!("unknown algorithm {other}");
-            usage()
-        }
-    }
-}
-
-fn shape_from(flags: &HashMap<String, String>) -> TreeShape {
-    match flags.get("--shape").map(String::as_str).unwrap_or("binary") {
-        "binary" => TreeShape::CompleteBinary,
-        "left-deep" => TreeShape::LeftDeep,
-        other => {
-            eprintln!("unknown shape {other}");
-            usage()
-        }
-    }
-}
-
-fn topology_from(flags: &HashMap<String, String>) -> Option<TopoPreset> {
-    flags.get("--topology").map(|name| {
-        TopoPreset::parse(name).unwrap_or_else(|| {
-            eprintln!("unknown topology preset {name} (try: paper-wan)");
-            usage()
-        })
+        other => return Err(Error::Usage(format!("unknown algorithm {other}"))),
     })
 }
 
-fn knowledge_from(flags: &HashMap<String, String>) -> KnowledgeMode {
-    match flags
-        .get("--knowledge")
-        .map(String::as_str)
-        .unwrap_or("monitored")
-    {
-        "monitored" => KnowledgeMode::Monitored,
-        "oracle" => KnowledgeMode::Oracle,
-        "forecast" => KnowledgeMode::Forecast,
-        "gauged" => KnowledgeMode::Gauged,
-        other => {
-            eprintln!("unknown knowledge mode {other}");
-            usage()
-        }
+fn shape_from(flags: &Flags) -> Result<TreeShape, Error> {
+    match flags.str("--shape").unwrap_or("binary") {
+        "binary" => Ok(TreeShape::CompleteBinary),
+        "left-deep" => Ok(TreeShape::LeftDeep),
+        other => Err(Error::Usage(format!("unknown shape {other}"))),
     }
 }
 
-fn build_experiment(flags: &HashMap<String, String>) -> Experiment {
-    let servers = flag(flags, "--servers", 8usize);
-    let seed = flag(flags, "--seed", 1998u64);
-    let config = flag(flags, "--config", 0u64);
+fn topology_from(flags: &Flags) -> Result<Option<TopoPreset>, Error> {
+    flags
+        .str("--topology")
+        .map(|name| {
+            TopoPreset::parse(name).ok_or_else(|| {
+                Error::Usage(format!("unknown topology preset {name} (try: paper-wan)"))
+            })
+        })
+        .transpose()
+}
+
+fn knowledge_from(flags: &Flags) -> Result<KnowledgeMode, Error> {
+    match flags.str("--knowledge").unwrap_or("monitored") {
+        "monitored" => Ok(KnowledgeMode::Monitored),
+        "oracle" => Ok(KnowledgeMode::Oracle),
+        "forecast" => Ok(KnowledgeMode::Forecast),
+        "gauged" => Ok(KnowledgeMode::Gauged),
+        other => Err(Error::Usage(format!("unknown knowledge mode {other}"))),
+    }
+}
+
+fn build_experiment(flags: &Flags) -> Result<Experiment, Error> {
+    let servers = flags.get("--servers", 8usize)?;
+    let seed = flags.get("--seed", 1998u64)?;
+    let config = flags.get("--config", 0u64)?;
     let study = BandwidthStudy::default_study(seed);
-    let mut exp = match topology_from(flags) {
+    let mut exp = match topology_from(flags)? {
         Some(preset) => {
             let pool = study.noon_trace_pool(SimDuration::from_hours(24));
             Experiment::from_study_pool_topo(servers, &pool, preset, config, seed)
         }
         None => Experiment::from_study(servers, &study, SimDuration::from_hours(24), config, seed),
     }
-    .with_tree_shape(shape_from(flags))
-    .with_knowledge(knowledge_from(flags));
-    let images = flag(flags, "--images", 180usize);
-    let mut workload = exp.template().workload;
-    workload.images_per_server = images;
-    exp.template_mut().workload = workload;
-    exp
+    .with_tree_shape(shape_from(flags)?)
+    .with_knowledge(knowledge_from(flags)?);
+    exp.template_mut().workload.images_per_server = flags.get("--images", 180)?;
+    Ok(exp)
 }
 
-/// Exits 2 with the engine's message if it would reject `cfg`, before any
-/// run can panic on it.
-fn validate_or_die(cfg: &EngineConfig) {
-    if let Err(e) = cfg.validate() {
-        eprintln!("invalid configuration: {e}");
-        std::process::exit(2);
-    }
+/// The engine's message if it would reject `cfg`, before any run can
+/// panic on it.
+fn validate(cfg: &EngineConfig) -> Result<(), Error> {
+    cfg.validate()
+        .map_err(|e| Error::Usage(format!("invalid configuration: {e}")))
 }
 
 /// The experiment and algorithm the `run` flags describe, validated.
-fn experiment_from(flags: &HashMap<String, String>) -> (Experiment, Algorithm) {
-    let exp = build_experiment(flags);
-    let algorithm = algorithm_from(flags);
+fn experiment_from(flags: &Flags) -> Result<(Experiment, Algorithm), Error> {
+    let exp = build_experiment(flags)?;
+    let algorithm = algorithm_from(flags)?;
     let mut cfg = exp.template().clone();
     cfg.algorithm = algorithm;
-    validate_or_die(&cfg);
-    (exp, algorithm)
+    validate(&cfg)?;
+    Ok((exp, algorithm))
 }
 
 /// Reads `--servers` for the subcommands that build their worlds without
-/// an [`Experiment`] template, exiting 2 on too few servers to combine.
-fn servers_from(flags: &HashMap<String, String>, default: usize) -> usize {
-    let servers = flag(flags, "--servers", default);
-    validate_or_die(&EngineConfig::new(servers, Algorithm::DownloadAll));
-    servers
+/// an [`Experiment`] template, rejecting too few servers to combine.
+fn servers_from(flags: &Flags, default: usize) -> Result<usize, Error> {
+    let servers = flags.get("--servers", default)?;
+    validate(&EngineConfig::new(servers, Algorithm::DownloadAll))?;
+    Ok(servers)
 }
 
-fn cmd_run(flags: HashMap<String, String>) {
-    let (exp, algorithm) = experiment_from(&flags);
-    let json_out = flags.contains_key("--json");
-    let tracing = flags.contains_key("--trace-out") || flags.contains_key("--jsonl-out");
+fn cmd_run(flags: &Flags) -> Result<(), Error> {
+    let (exp, algorithm) = experiment_from(flags)?;
+    let json_out = flags.has("--json");
+    let tracing = flags.has("--trace-out") || flags.has("--jsonl-out");
     if !json_out {
-        let topo = match topology_from(&flags) {
+        let topo = match topology_from(flags)? {
             Some(p) => format!(", topology {p}"),
             None => String::new(),
         };
@@ -315,7 +220,7 @@ fn cmd_run(flags: HashMap<String, String>) {
             exp.template().knowledge.name(),
         );
     }
-    let threads = resolve_threads(&flags);
+    let threads = flags.threads()?;
     let tracer = tracing.then(Tracer::install);
     // The baseline and the algorithm run are independent worlds, so with
     // a spare thread they run concurrently. Tracing pins everything to
@@ -338,16 +243,16 @@ fn cmd_run(flags: HashMap<String, String>) {
     };
     if let Some((_, tracer)) = &tracer {
         let tracer = tracer.borrow();
-        if let Some(path) = flags.get("--trace-out") {
-            write_or_die(path, chrome_trace(&tracer).to_string_compact().as_bytes());
+        if let Some(path) = flags.str("--trace-out") {
+            cli::write_output(path, chrome_trace(&tracer).to_string_compact().as_bytes())?;
             if !json_out {
                 println!("wrote Chrome trace to {path} (load at https://ui.perfetto.dev)");
             }
         }
-        if let Some(path) = flags.get("--jsonl-out") {
+        if let Some(path) = flags.str("--jsonl-out") {
             let mut buf = Vec::new();
             write_jsonl(&tracer, &mut buf).expect("writing to memory cannot fail");
-            write_or_die(path, &buf);
+            cli::write_output(path, &buf)?;
             if !json_out {
                 println!("wrote span/sample stream to {path}");
             }
@@ -386,7 +291,7 @@ fn cmd_run(flags: HashMap<String, String>) {
             r.planner_runs, r.changeovers, r.relocations, r.net_stats.bytes_delivered
         );
     }
-    if flags.contains_key("--audit") {
+    if flags.has("--audit") {
         println!("\naudit log ({} events):", r.audit.len());
         for e in r.audit.events() {
             match e {
@@ -466,33 +371,35 @@ fn cmd_run(flags: HashMap<String, String>) {
             }
         }
     }
+    Ok(())
 }
 
-fn cmd_report(flags: HashMap<String, String>) {
-    let (exp, algorithm) = experiment_from(&flags);
+fn cmd_report(flags: &Flags) -> Result<(), Error> {
+    let (exp, algorithm) = experiment_from(flags)?;
     let (obs, tracer) = Tracer::install();
     let r = exp.run_observed(algorithm, obs);
     print!("{}", render_report(&tracer.borrow()));
     if !r.completed {
         println!("warning: run hit the safety cap before delivering every image");
     }
+    Ok(())
 }
 
-fn cmd_study(flags: HashMap<String, String>) {
-    if flags.contains_key("--gauge-analysis") {
-        let seed = flag(&flags, "--seed", 1998u64);
+fn cmd_study(flags: &Flags) -> Result<(), Error> {
+    if flags.has("--gauge-analysis") {
+        let seed = flags.get("--seed", 1998u64)?;
         print!(
             "{}",
             gauging::render_markdown(&gauging::gauge_vs_forecast(3, seed), seed)
         );
-        return;
+        return Ok(());
     }
-    let mut params = StudyParams::paper_main(flag(&flags, "--seed", 1998u64));
-    params.n_configs = flag(&flags, "--configs", 50usize);
-    params.n_servers = servers_from(&flags, 8);
-    params.topology = topology_from(&flags);
-    params.knowledge = knowledge_from(&flags);
-    let threads = resolve_threads(&flags);
+    let mut params = StudyParams::paper_main(flags.get("--seed", 1998u64)?);
+    params.n_configs = flags.count("--configs", 50)?;
+    params.n_servers = servers_from(flags, 8)?;
+    params.topology = topology_from(flags)?;
+    params.knowledge = knowledge_from(flags)?;
+    let threads = flags.threads()?;
     println!(
         "running {} configurations x 4 algorithms ({} servers, {} threads, knowledge {}{})...",
         params.n_configs,
@@ -518,31 +425,25 @@ fn cmd_study(flags: HashMap<String, String>) {
             results.mean_interarrival(i)
         );
     }
+    Ok(())
 }
 
-fn cmd_trace(flags: HashMap<String, String>) {
-    let seed = flag(&flags, "--seed", 1998u64);
-    let window = SimDuration::from_hours(flag(&flags, "--window-hours", 12u64));
-    let pair = flags
-        .get("--pair")
-        .map(String::as_str)
+fn cmd_trace(flags: &Flags) -> Result<(), Error> {
+    let seed = flags.get("--seed", 1998u64)?;
+    let window = SimDuration::from_hours(flags.get("--window-hours", 12u64)?);
+    let (a, b) = flags
+        .str("--pair")
         .unwrap_or("0,7")
-        .to_string();
-    let (a, b) = pair
         .split_once(',')
         .and_then(|(x, y)| Some((x.parse().ok()?, y.parse().ok()?)))
-        .unwrap_or_else(|| {
-            eprintln!("--pair must be two comma-separated host indices");
-            usage()
-        });
+        .ok_or_else(|| Error::Usage("--pair must be two comma-separated host indices".into()))?;
     let study = BandwidthStudy::default_study(seed);
     let hosts = study.hosts();
     let Some(trace) = study.trace(a, b) else {
-        eprintln!(
+        return Err(Error::Usage(format!(
             "unknown pair ({a}, {b}); the study has hosts 0..{}",
             hosts.len()
-        );
-        std::process::exit(2);
+        )));
     };
     let s = summarize(trace, window);
     println!(
@@ -559,23 +460,17 @@ fn cmd_trace(flags: HashMap<String, String>) {
         Some(secs) => println!(">=10% bandwidth changes every {secs:.0} s on average"),
         None => println!("bandwidth never changes by >=10%"),
     }
+    Ok(())
 }
 
-fn cmd_plan(flags: HashMap<String, String>) {
-    let servers = servers_from(&flags, 8);
-    let seed = flag(&flags, "--seed", 1998u64);
-    let config = flag(&flags, "--config", 0u64);
-    let objective = match flags
-        .get("--objective")
-        .map(String::as_str)
-        .unwrap_or("critical-path")
-    {
+fn cmd_plan(flags: &Flags) -> Result<(), Error> {
+    let servers = servers_from(flags, 8)?;
+    let seed = flags.get("--seed", 1998u64)?;
+    let config = flags.get("--config", 0u64)?;
+    let objective = match flags.str("--objective").unwrap_or("critical-path") {
         "critical-path" => Objective::CriticalPath,
         "contended" => Objective::Contended,
-        other => {
-            eprintln!("unknown objective {other}");
-            usage()
-        }
+        other => return Err(Error::Usage(format!("unknown objective {other}"))),
     };
     let study = BandwidthStudy::default_study(seed);
     let exp = Experiment::from_study(servers, &study, SimDuration::from_hours(24), config, seed);
@@ -621,6 +516,7 @@ fn cmd_plan(flags: HashMap<String, String>) {
         "busiest NIC: host {} at {:.2} s/partition",
         busiest.0, busiest.1
     );
+    Ok(())
 }
 
 /// The digests pinned by the repository; drift fails CI until the fixture
@@ -632,20 +528,20 @@ const GOLDEN_FIXTURE: &str = include_str!("../../tests/golden/digests.txt");
 /// with `wadc verify --print-golden-topo > tests/golden/digests_topo.txt`.
 const GOLDEN_FIXTURE_TOPO: &str = include_str!("../../tests/golden/digests_topo.txt");
 
-fn cmd_verify(flags: HashMap<String, String>) {
-    if flags.contains_key("--print-golden") {
+fn cmd_verify(flags: &Flags) -> Result<(), Error> {
+    if flags.has("--print-golden") {
         print!("{}", golden::render_fixture());
-        return;
+        return Ok(());
     }
-    if flags.contains_key("--print-golden-topo") {
+    if flags.has("--print-golden-topo") {
         print!("{}", golden::render_topo_fixture());
-        return;
+        return Ok(());
     }
-    let seed = flag(&flags, "--seed", 42u64);
-    // Not resolve_threads: the verify gate *wants* oversubscription (more
-    // workers than cores still shuffles completion order), so the flag is
-    // taken as given.
-    let threads = flag(&flags, "--threads", 2usize).max(1);
+    let seed = flags.get("--seed", 42u64)?;
+    // Not `flags.threads()`: the verify gate *wants* oversubscription
+    // (more workers than cores still shuffles completion order), so the
+    // flag is taken as given.
+    let threads = flags.get("--threads", 2usize)?.max(1);
     let mut failures: Vec<String> = Vec::new();
 
     let cases = golden::golden_cases();
@@ -747,7 +643,7 @@ fn cmd_verify(flags: HashMap<String, String>) {
         ));
     }
 
-    if !flags.contains_key("--quick") {
+    if !flags.has("--quick") {
         println!("differential: relabeling, degenerate period, cost model, scaling...");
         failures.extend(
             run_suite(seed)
@@ -771,57 +667,51 @@ fn cmd_verify(flags: HashMap<String, String>) {
 
     if failures.is_empty() {
         println!("verify: all checks passed");
-    } else {
-        for f in &failures {
-            eprintln!("FAIL {f}");
-        }
-        eprintln!("verify: {} check(s) failed", failures.len());
-        std::process::exit(1);
+        return Ok(());
     }
+    for f in &failures {
+        eprintln!("FAIL {f}");
+    }
+    Err(Error::Failed(format!("{} check(s) failed", failures.len())))
 }
 
 /// `wadc chaos --soak N`: randomized fault plans at scale on the sweep
 /// driver, with optional fault-plan shrinking on failure.
-fn cmd_chaos_soak(flags: &HashMap<String, String>, n_plans: usize) {
-    let servers = servers_from(flags, 4);
-    let seed = flag(flags, "--seed", 1998u64);
-    // Not resolve_threads: like the verify gate, the soak's report is
+fn cmd_chaos_soak(flags: &Flags, n_plans: usize) -> Result<(), Error> {
+    let servers = servers_from(flags, 4)?;
+    let seed = flags.get("--seed", 1998u64)?;
+    // Not `flags.threads()`: like the verify gate, the soak's report is
     // sworn to be thread-count-invariant, so oversubscription is a
     // feature, not a mistake to clamp away.
-    let threads = flag(flags, "--threads", 2usize).max(1);
-    let shrink = flags.contains_key("--shrink");
+    let threads = flags.get("--threads", 2usize)?.max(1);
+    let shrink = flags.has("--shrink");
     println!(
         "chaos soak: {n_plans} random fault plans on the {servers}-server quick world \
          (seed {seed}, {threads} threads)..."
     );
-    match run_soak(servers, seed, n_plans, threads, shrink) {
-        Ok(report) => println!("soak passed: {report}"),
-        Err(failure) => {
-            eprintln!("FAIL {failure}");
+    let report = run_soak(servers, seed, n_plans, threads, shrink).map_err(|failure| {
+        Error::Failed(format!(
+            "FAIL {failure}\n{}",
             if shrink {
-                eprintln!("(plan shown is the shrunk minimal reproduction)");
+                "(plan shown is the shrunk minimal reproduction)"
             } else {
-                eprintln!("(re-run with --shrink for a minimal reproduction)");
+                "(re-run with --shrink for a minimal reproduction)"
             }
-            std::process::exit(1);
-        }
-    }
+        ))
+    })?;
+    println!("soak passed: {report}");
+    Ok(())
 }
 
-fn cmd_chaos(flags: HashMap<String, String>) {
-    if let Some(n_plans) = flags.get("--soak") {
-        let n_plans = n_plans.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for --soak: {n_plans}");
-            usage()
-        });
-        cmd_chaos_soak(&flags, n_plans);
-        return;
+fn cmd_chaos(flags: &Flags) -> Result<(), Error> {
+    if flags.has("--soak") {
+        return cmd_chaos_soak(flags, flags.get("--soak", 0)?);
     }
-    let (mut exp, algorithm) = experiment_from(&flags);
-    let loss = flag(&flags, "--loss", 0.05f64);
-    let probe_blackhole = flag(&flags, "--probe-blackhole", 0.0f64);
-    let move_failure = flag(&flags, "--move-failure", 0.0f64);
-    let outages = flag(&flags, "--outages", 0usize);
+    let (mut exp, algorithm) = experiment_from(flags)?;
+    let loss = flags.get("--loss", 0.05f64)?;
+    let probe_blackhole = flags.get("--probe-blackhole", 0.0f64)?;
+    let move_failure = flags.get("--move-failure", 0.0f64)?;
+    let outages = flags.get("--outages", 0usize)?;
     let mut plan = FaultPlan::none()
         .with_loss(loss)
         .with_probe_blackhole(probe_blackhole)
@@ -829,27 +719,21 @@ fn cmd_chaos(flags: HashMap<String, String>) {
     if outages > 0 {
         plan = plan.with_random_outages(
             outages,
-            SimDuration::from_mins(flag(&flags, "--outage-mins", 5u64)),
+            SimDuration::from_mins(flags.get("--outage-mins", 5u64)?),
             SimDuration::from_hours(1),
         );
     }
     let n_servers = exp.template().n_servers;
-    if let Some(host) = flags.get("--crash-host") {
-        let host: usize = host.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for --crash-host: {host}");
-            usage()
-        });
+    if flags.has("--crash-host") {
         plan = plan.crash(
-            HostId::new(host),
-            SimTime::from_secs(flag(&flags, "--crash-at-secs", 30u64)),
+            HostId::new(flags.get("--crash-host", 0)?),
+            SimTime::from_secs(flags.get("--crash-at-secs", 30u64)?),
         );
     }
     // Eager validation: a plan naming a host outside the roster fails
     // here, before any simulation runs, not as a mystery mid-run.
-    if let Err(e) = plan.validate_for_hosts(n_servers + 1) {
-        eprintln!("invalid fault plan: {e}");
-        usage();
-    }
+    plan.validate_for_hosts(n_servers + 1)
+        .map_err(|e| Error::Usage(format!("invalid fault plan: {e}")))?;
     println!(
         "chaos: {} servers x {} images under {} | loss {:.0}% probe-blackhole {:.0}% \
          move-failure {:.0}% outages {} crashes {}",
@@ -887,25 +771,25 @@ fn cmd_chaos(flags: HashMap<String, String>) {
          operators respawned {}",
         r.hosts_declared_dead, r.operators_respawned
     );
+    Ok(())
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = argv.split_first() else {
-        usage()
+fn main() -> ExitCode {
+    let mut argv = std::env::args().skip(1);
+    let Some(cmd) = argv.next() else {
+        return usage();
     };
-    let Some(known) = known_flags(cmd) else {
-        usage()
+    let chaos_flags = format!("{RUN_FLAGS} {CHAOS_FLAGS}");
+    type Body = fn(&Flags) -> Result<(), Error>;
+    let (spec, body): (&str, Body) = match cmd.as_str() {
+        "run" => (RUN_FLAGS, cmd_run),
+        "report" => (RUN_FLAGS, cmd_report),
+        "chaos" => (&chaos_flags, cmd_chaos),
+        "study" => (STUDY_FLAGS, cmd_study),
+        "trace" => ("--pair A,B --seed S --window-hours H", cmd_trace),
+        "plan" => ("--servers N --seed S --config I --objective O", cmd_plan),
+        "verify" => (VERIFY_FLAGS, cmd_verify),
+        _ => return usage(),
     };
-    let flags = parse_flags(cmd, &known, rest);
-    match cmd.as_str() {
-        "run" => cmd_run(flags),
-        "report" => cmd_report(flags),
-        "study" => cmd_study(flags),
-        "trace" => cmd_trace(flags),
-        "plan" => cmd_plan(flags),
-        "verify" => cmd_verify(flags),
-        "chaos" => cmd_chaos(flags),
-        _ => usage(),
-    }
+    cli::run(&format!("wadc {cmd}"), spec, argv, body)
 }

@@ -51,6 +51,7 @@ fn invalid_configurations_exit_2_with_the_validation_message() {
             "zero re-planning period",
         ),
         (&["plan", "--servers", "1"], "need at least two servers"),
+        (&["study", "--configs", "0"], "--configs must be at least 1"),
     ] {
         let out = wadc(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
